@@ -52,7 +52,8 @@ fn bench_agg_plain_vs_shared(c: &mut Criterion) {
                 let r1 = rel.clone();
                 run_protocol(
                     move |ch| {
-                        let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Fast, 11);
+                        let mut sess =
+                            Session::new(ch, RingCtx::new(32), TweakHasher::default(), 11);
                         let mut r = SecureRelation::load(
                             &mut sess,
                             Role::Alice,
@@ -65,7 +66,8 @@ fn bench_agg_plain_vs_shared(c: &mut Criterion) {
                         oblivious_project_agg(&mut sess, &r, &["g".to_string()], AggKind::Sum).size
                     },
                     move |ch| {
-                        let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Fast, 12);
+                        let mut sess =
+                            Session::new(ch, RingCtx::new(32), TweakHasher::default(), 12);
                         let mut r = SecureRelation::load(
                             &mut sess,
                             Role::Alice,
@@ -84,13 +86,13 @@ fn bench_agg_plain_vs_shared(c: &mut Criterion) {
     g.finish();
 }
 
-/// Garbling-hash ablation: the substituted SHA-256 vs. the fast mixer, on
-/// a whole query run (Q3 smoke scale).
+/// Garbling-hash ablation: the default fixed-key AES vs. the SHA-256
+/// cross-check, on a whole query run (Q3 smoke scale).
 fn bench_hasher_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_gc_hash");
     g.sample_size(10);
     let spec = secyan_bench::build_spec(PaperQuery::Q3, 0.05, 42);
-    for hasher in [TweakHasher::Fast, TweakHasher::Sha256] {
+    for hasher in [TweakHasher::Aes, TweakHasher::Sha256] {
         g.bench_function(BenchmarkId::new("q3", format!("{hasher:?}")), |b| {
             b.iter(|| {
                 let (sa, sb) = (spec.clone(), spec.clone());

@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks of the tweakable hash variants: the
-//! per-block cost of `Sha256` (cross-check), `Aes` (default fixed-key
-//! MMO), and `Fast` (non-cryptographic), scalar and batched. This is the
+//! per-block cost of `Sha256` (cross-check) and `Aes` (default fixed-key
+//! MMO), scalar and batched. This is the
 //! kernel behind every AND gate, every OT row, and every OPRF mask, so
 //! the per-block constant here is the slope of the figures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use secyan_crypto::{Block, TweakHasher};
 
-const HASHERS: [TweakHasher; 3] = [TweakHasher::Sha256, TweakHasher::Aes, TweakHasher::Fast];
+const HASHERS: [TweakHasher; 2] = [TweakHasher::Sha256, TweakHasher::Aes];
 
 fn test_blocks(n: usize) -> Vec<Block> {
     (0..n)

@@ -21,12 +21,12 @@ fn bench_ot_extension(c: &mut Criterion) {
                 run_protocol(
                     move |ch| {
                         let mut rng = StdRng::seed_from_u64(1);
-                        let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Fast);
+                        let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::default());
                         ot.random(ch, m)
                     },
                     move |ch| {
                         let mut rng = StdRng::seed_from_u64(2);
-                        let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Fast);
+                        let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::default());
                         ot.random(ch, &vec![false; m])
                     },
                 )
@@ -46,7 +46,7 @@ fn bench_garbling(c: &mut Criterion) {
     b.output_word(&p);
     let circuit = b.finish();
     let ands = circuit.and_count();
-    for hasher in [TweakHasher::Fast, TweakHasher::Aes, TweakHasher::Sha256] {
+    for hasher in [TweakHasher::Aes, TweakHasher::Sha256] {
         g.throughput(Throughput::Elements(ands));
         g.bench_function(
             BenchmarkId::new("mul32_garble", format!("{hasher:?}")),
@@ -85,12 +85,12 @@ fn bench_oep(c: &mut Criterion) {
                 run_protocol(
                     move |ch| {
                         let mut rng = StdRng::seed_from_u64(5);
-                        let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::Fast);
+                        let mut ot = OtReceiver::setup(ch, &mut rng, TweakHasher::default());
                         oep_perm_holder(ch, &x, n, ring, &mut ot)
                     },
                     move |ch| {
                         let mut rng = StdRng::seed_from_u64(6);
-                        let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::Fast);
+                        let mut ot = OtSender::setup(ch, &mut rng, TweakHasher::default());
                         oep_value_holder(ch, &v, n, ring, &mut ot, &mut rng)
                     },
                 )

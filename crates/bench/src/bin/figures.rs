@@ -2,7 +2,7 @@
 //! secure Yannakakis vs. the naive garbled circuit vs. plaintext).
 //!
 //! Usage:
-//!   figures [--figure N] [--scales a,b,c] [--full] [--sha] [--fast] [--gc-anchor]
+//!   figures [--figure N] [--scales a,b,c] [--full] [--sha] [--gc-anchor]
 //!
 //! * `--figure N` — only figure N (2..=6); default: all five.
 //! * `--scales` — comma-separated dataset sizes in MB (overrides the
@@ -10,8 +10,6 @@
 //! * `--full` — the paper's scales 1,3,10,33,100 MB.
 //! * `--sha` — use SHA-256 garbling instead of the default fixed-key
 //!   AES (cross-check configuration, ~10× slower).
-//! * `--fast` — use the non-cryptographic benchmark hash (cost-shape
-//!   runs only; insecure).
 //! * `--gc-anchor` — additionally run the §8.2 anchor experiment: measure
 //!   the runnable naive-GC instance used for calibration.
 
@@ -44,7 +42,6 @@ fn main() {
             }
             "--full" => full = true,
             "--sha" => hasher = TweakHasher::Sha256,
-            "--fast" => hasher = TweakHasher::Fast,
             "--gc-anchor" => gc_anchor = true,
             other => {
                 eprintln!("unknown argument: {other}");

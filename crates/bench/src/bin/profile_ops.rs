@@ -540,7 +540,7 @@ fn profile_parallel() {
 /// offline phase's garbled tables and OT/OPRF extensions dominate the
 /// cold critical path). The model's parameters are reported in the JSON
 /// next to the numbers they shaped. Medians of `REPS` runs on a chain
-/// query whose shape the planner covers completely; byte counters come
+/// query whose shape the plan covers completely; byte counters come
 /// from the phase-tagged transport metering.
 fn profile_online(quick: bool) {
     use secyan_core::{run_offline, run_online, secure_yannakakis, SecureQuery, Session};
@@ -734,7 +734,7 @@ fn profile_hashers() {
         .map(|i| Block(i.wrapping_mul(0x9e37_79b9)))
         .collect();
     let rows: Vec<[u8; 64]> = (0..ROWS).map(|i| [i as u8; 64]).collect();
-    let hashers = [TweakHasher::Sha256, TweakHasher::Aes, TweakHasher::Fast];
+    let hashers = [TweakHasher::Sha256, TweakHasher::Aes];
 
     let mut entries = Vec::new();
     let mut sha_scalar = 0.0f64;

@@ -216,9 +216,9 @@ mod tests {
     #[test]
     fn q3_point_matches_and_is_linear_ish() {
         let rate = 1e6; // synthetic rate; only relative GC numbers matter here
-        let p1 = measure_point(PaperQuery::Q3, 0.05, TweakHasher::Fast, rate, 1);
+        let p1 = measure_point(PaperQuery::Q3, 0.05, TweakHasher::default(), rate, 1);
         assert!(p1.results_match, "secure != plaintext at 0.05 MB");
-        let p2 = measure_point(PaperQuery::Q3, 0.1, TweakHasher::Fast, rate, 1);
+        let p2 = measure_point(PaperQuery::Q3, 0.1, TweakHasher::default(), rate, 1);
         assert!(p2.results_match);
         // Communication grows with input size.
         assert!(p2.sy_comm_bytes > p1.sy_comm_bytes);
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn gc_calibration_returns_positive_rate() {
-        let rate = calibrate_gc_rate(TweakHasher::Fast);
+        let rate = calibrate_gc_rate(TweakHasher::default());
         assert!(rate > 1000.0, "rate {rate}");
     }
 }

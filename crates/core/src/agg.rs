@@ -12,6 +12,7 @@
 //! operator collapses to local computation plus dummy padding.
 
 use crate::session::Session;
+use crate::shape::Dims;
 use crate::srel::SecureRelation;
 use secyan_circuit::{u64_to_bits, BitRef, Builder, Circuit, Word};
 use secyan_gc::{with_shared_outputs, SharedOutputSpec};
@@ -81,6 +82,36 @@ fn bit_to_word(b: &mut Builder, bit: BitRef, ell: usize) -> Word {
     Word(bits)
 }
 
+/// The path π⊕/π¹ takes, a function of public data only. The operator and
+/// [`crate::shape::Plan`] both branch on it, so the plan lists a merge
+/// circuit exactly when the operator runs one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AggRoute {
+    /// §6.5: owner-known annotations are aggregated locally and stay plain.
+    Local,
+    /// No rows: nothing to aggregate.
+    Empty,
+    /// A grand total (empty grouping) under SUM is linear in the
+    /// annotations, so each party folds its own shares: no communication.
+    Linear,
+    /// Shared OEP into sorted order, then the merge-gate circuit.
+    Merge,
+}
+
+impl AggRoute {
+    pub(crate) fn of(rel: Dims, attrs: &[String], kind: AggKind) -> AggRoute {
+        if rel.is_plain {
+            AggRoute::Local
+        } else if rel.size == 0 {
+            AggRoute::Empty
+        } else if attrs.is_empty() && kind == AggKind::Sum {
+            AggRoute::Linear
+        } else {
+            AggRoute::Merge
+        }
+    }
+}
+
 /// Oblivious π⊕_attrs(R) / π¹_attrs(R). Both parties call this with the
 /// same public arguments; the output relation keeps the owner and the
 /// public size N of the input.
@@ -90,52 +121,49 @@ pub fn oblivious_project_agg(
     attrs: &[String],
     kind: AggKind,
 ) -> SecureRelation {
-    // §6.5 fast path: owner-known annotations → purely local computation.
-    if rel.is_plain {
-        return local_project_agg(sess, rel, attrs, kind);
+    let n = rel.size;
+    let mine = rel.is_mine(sess);
+    // Owner side: the output tuples and dummy flags; both sides: shares.
+    let (rows, annot_shares) = match AggRoute::of(rel.dims(), attrs, kind) {
+        AggRoute::Local => return local_project_agg(sess, rel, attrs, kind),
+        AggRoute::Empty => (mine.then(|| (Vec::new(), Vec::new())), Vec::new()),
+        // Dummy annotations are shares of 0, so folding them in is
+        // harmless. The single real output row sits at the public last
+        // position; every other row is a dummy whose shares reconstruct
+        // to 0, matching the merge-chain output contract.
+        AggRoute::Linear => {
+            let total = rel
+                .annot_shares
+                .iter()
+                .fold(0u64, |acc, &v| sess.ring.add(acc, v));
+            let mut shares = vec![0u64; n];
+            shares[n - 1] = total;
+            let mut dummy = vec![true; n];
+            dummy[n - 1] = false;
+            (mine.then(|| (vec![Vec::new(); n], dummy)), shares)
+        }
+        AggRoute::Merge => merge(sess, rel, attrs, kind),
+    };
+    let (tuples, dummy) = rows.unzip();
+    SecureRelation {
+        schema: attrs.to_vec(),
+        owner: rel.owner,
+        tuples,
+        dummy,
+        size: n,
+        annot_shares,
+        is_plain: false,
+        plain_annots: None,
     }
+}
+
+/// Owner-side output rows (tuples, dummy flags) and my output shares.
+type MergeOutput = (Option<(Vec<Vec<u64>>, Vec<bool>)>, Vec<u64>);
+
+/// The shared OEP into sorted order, then the merge-gate circuit.
+fn merge(sess: &mut Session, rel: &SecureRelation, attrs: &[String], kind: AggKind) -> MergeOutput {
     let n = rel.size;
     let ell = sess.ring.bits() as usize;
-    if n == 0 {
-        return SecureRelation {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            tuples: rel.is_mine(sess).then(Vec::new),
-            dummy: rel.is_mine(sess).then(Vec::new),
-            size: 0,
-            annot_shares: Vec::new(),
-            is_plain: false,
-            plain_annots: None,
-        };
-    }
-    // Linear fast path: a grand total (empty grouping) under SUM is linear
-    // in the annotations, so each party folds its own shares locally —
-    // zero communication, zero rounds. Dummy annotations are shares of 0,
-    // so folding them in is harmless. The single real output row sits at
-    // the public last position; every other row is a dummy whose shares
-    // reconstruct to 0, matching the merge-chain output contract.
-    if attrs.is_empty() && kind == AggKind::Sum {
-        let total = rel
-            .annot_shares
-            .iter()
-            .fold(0u64, |acc, &v| sess.ring.add(acc, v));
-        let mut shares = vec![0u64; n];
-        shares[n - 1] = total;
-        return SecureRelation {
-            schema: Vec::new(),
-            owner: rel.owner,
-            tuples: rel.is_mine(sess).then(|| vec![Vec::new(); n]),
-            dummy: rel.is_mine(sess).then(|| {
-                let mut d = vec![true; n];
-                d[n - 1] = false;
-                d
-            }),
-            size: n,
-            annot_shares: shares,
-            is_plain: false,
-            plain_annots: None,
-        };
-    }
     let (circuit, spec) = merge_circuit(n, ell, kind);
     if rel.is_mine(sess) {
         let pos = rel.positions(attrs);
@@ -166,7 +194,7 @@ pub fn oblivious_project_agg(
             my_bits.extend(u64_to_bits(s, ell));
         }
         let out_shares = sess.garble_shared(&circuit, &spec, &my_bits);
-        // Build the output relation: group-end rows are real, others dummy.
+        // Build the output rows: group-end rows are real, others dummy.
         let mut out_tuples = Vec::with_capacity(n);
         let mut out_dummy = Vec::with_capacity(n);
         for i in 0..n {
@@ -175,16 +203,7 @@ pub fn oblivious_project_agg(
             let is_end = i == n - 1 || !eq[i];
             out_dummy.push(dummies[src] || !is_end);
         }
-        SecureRelation {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            tuples: Some(out_tuples),
-            dummy: Some(out_dummy),
-            size: n,
-            annot_shares: out_shares,
-            is_plain: false,
-            plain_annots: None,
-        }
+        (Some((out_tuples, out_dummy)), out_shares)
     } else {
         let my_sorted = shared_oep_other(
             sess.ch,
@@ -198,17 +217,7 @@ pub fn oblivious_project_agg(
         for &s in &my_sorted {
             my_bits.extend(u64_to_bits(s, ell));
         }
-        let out_shares = sess.evaluate_shared(&circuit, &spec, &my_bits);
-        SecureRelation {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            tuples: None,
-            dummy: None,
-            size: n,
-            annot_shares: out_shares,
-            is_plain: false,
-            plain_annots: None,
-        }
+        (None, sess.evaluate_shared(&circuit, &spec, &my_bits))
     }
 }
 

@@ -31,15 +31,18 @@ pub struct JoinOutput {
     pub out_size: usize,
 }
 
-/// The reveal circuit for one relation: per row, `ind = (v ≠ 0)` plus the
-/// tuple words gated by `ind` (only when the receiver does not own the
-/// tuples). Garbler = relation owner when it is not the receiver,
-/// otherwise the other party; outputs reveal to the receiver-evaluator.
+/// The reveal circuit for one relation. Per row it outputs the
+/// reconstructed aggregate v (`values`) or the support bit `v ≠ 0`, then,
+/// when the garbler owns the tuples, the tuple words gated by `v ≠ 0`:
+/// zero-valued rows are indistinguishable from dummies, exactly as the
+/// paper notes (a zero aggregate contributes nothing to the result).
+/// Garbler = the non-receiver; outputs reveal to the receiver-evaluator.
 pub(crate) fn reveal_circuit(
     n: usize,
     ell: usize,
     attrs: usize,
     owner_is_garbler: bool,
+    values: bool,
 ) -> Circuit {
     let mut b = Builder::new();
     // Garbler inputs: v-shares, plus tuple words when the garbler owns them.
@@ -56,80 +59,81 @@ pub(crate) fn reveal_circuit(
     let vb: Vec<Word> = (0..n).map(|_| b.bob_word(ell)).collect();
     for i in 0..n {
         let v = b.add_words(&va[i], &vb[i]);
+        if values {
+            b.output_word(&v);
+        }
+        if values && !owner_is_garbler {
+            continue;
+        }
         let ind = b.is_nonzero_word(&v);
-        b.output(ind);
-        if owner_is_garbler {
-            for w in &ta[i] {
-                let gated = b.and_word_bit(w, ind);
-                b.output_word(&gated);
-            }
+        if !values {
+            b.output(ind);
+        }
+        for w in &ta[i] {
+            let gated = b.and_word_bit(w, ind);
+            b.output_word(&gated);
         }
     }
     b.finish()
 }
 
-/// Reveal the nonzero support of `rel` to the receiver. Returns, on the
-/// receiver side, `Some(rows)` where `rows[i] = Some(tuple)` for real
-/// non-dangling rows (indexed by the owner's storage order).
-fn reveal_support(
+/// Per row, in the owner's storage order: `Some((tuple, v))` for real rows
+/// with a nonzero aggregate.
+type RevealedRows = Vec<Option<(Vec<u64>, u64)>>;
+
+/// Reveal `rel`'s nonzero rows to the receiver through [`reveal_circuit`];
+/// `Some(rows)` on the receiver side, where v is the aggregate with
+/// `values`, else 1.
+fn reveal_rows(
     sess: &mut Session,
     rel: &mut SecureRelation,
     receiver: Role,
-) -> Option<Vec<Option<Vec<u64>>>> {
+    values: bool,
+) -> Option<RevealedRows> {
     rel.ensure_shared(sess);
     let n = rel.size;
     let ell = sess.ring.bits() as usize;
     let attrs = rel.schema.len();
-    let i_am_receiver = sess.role() == receiver;
     let owner_is_garbler = rel.owner != receiver;
-    let circuit = reveal_circuit(n, ell, attrs, owner_is_garbler);
-    if i_am_receiver {
-        // Receiver evaluates.
-        let mut bits = Vec::new();
-        for &s in &rel.annot_shares {
-            bits.extend(u64_to_bits(s, ell));
-        }
-        let out = sess
-            .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
-            .expect("reveals to evaluator");
-        let stride = 1 + if owner_is_garbler { attrs * 64 } else { 0 };
-        let mut rows = Vec::with_capacity(n);
-        let my_tuples = rel.tuples.clone();
-        for i in 0..n {
-            let base = i * stride;
-            if !out[base] {
-                rows.push(None);
-                continue;
-            }
-            let tuple = if owner_is_garbler {
-                (0..attrs)
-                    .map(|a| bits_to_u64(&out[base + 1 + a * 64..base + 1 + (a + 1) * 64]))
-                    .collect()
-            } else {
-                my_tuples.as_ref().expect("receiver owns the tuples")[i].clone()
-            };
-            rows.push(Some(tuple));
-        }
-        Some(rows)
-    } else {
-        // Non-receiver garbles; contributes tuples when it owns them.
-        // Packing matches the circuit's declaration order: all v-shares
-        // first, then all tuple words.
-        let mut bits = Vec::new();
-        for &s in &rel.annot_shares {
-            bits.extend(u64_to_bits(s, ell));
-        }
+    let circuit = reveal_circuit(n, ell, attrs, owner_is_garbler, values);
+    // Packing matches the circuit's declaration order: all v-shares
+    // first, then (garbler side, when it owns them) all tuple words.
+    let mut bits = Vec::new();
+    for &s in &rel.annot_shares {
+        bits.extend(u64_to_bits(s, ell));
+    }
+    if sess.role() != receiver {
         if owner_is_garbler {
-            let tuples = rel.tuples.as_ref().expect("owner side");
-            for t in tuples {
+            for t in rel.tuples.as_ref().expect("owner side") {
                 for &v in t {
                     bits.extend(u64_to_bits(v, 64));
                 }
             }
         }
         sess.garble(&circuit, &bits, OutputMode::RevealToEvaluator);
-        None
+        return None;
     }
+    let out = sess
+        .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
+        .expect("reveals to evaluator");
+    let head = if values { ell } else { 1 };
+    let stride = head + if owner_is_garbler { attrs * 64 } else { 0 };
+    let rows = (0..n)
+        .map(|i| {
+            let row = &out[i * stride..(i + 1) * stride];
+            let v = bits_to_u64(&row[..head]);
+            if v == 0 {
+                return None; // dummy, dangling or zero-valued
+            }
+            let tuple = if owner_is_garbler {
+                row[head..].chunks(64).map(bits_to_u64).collect()
+            } else {
+                rel.tuples.as_ref().expect("receiver owns the tuples")[i].clone()
+            };
+            Some((tuple, v))
+        })
+        .collect();
+    Some(rows)
 }
 
 /// The k-way annotation product circuit over `out_size` rows. Garbler =
@@ -178,7 +182,8 @@ fn product_tree_circuit(
 /// The oblivious join. `rels` must be ordered so that each prefix is
 /// connected (the driver folds bottom-up along the join tree); all
 /// dangling tuples must already be zero-annotated. `reveal` controls
-/// whether the annotations are opened to the receiver or left shared.
+/// whether the annotations are opened to the receiver or left shared; a
+/// lone relation is then revealed directly, with no product tree.
 pub fn oblivious_join(
     sess: &mut Session,
     rels: &mut [SecureRelation],
@@ -188,11 +193,26 @@ pub fn oblivious_join(
     assert!(!rels.is_empty());
     let ell = sess.ring.bits() as usize;
     let i_am_receiver = sess.role() == receiver;
-    // Step 1: reveal every relation's nonzero support to the receiver.
-    let revealed: Vec<Option<Vec<Option<Vec<u64>>>>> = rels
+    // Step 1: reveal every relation's nonzero support to the receiver — or,
+    // for a lone relation whose result is revealed (e.g. TPC-H Q3 after
+    // the reduce phase), its rows and aggregate values, which is the whole
+    // answer.
+    let lone = reveal && rels.len() == 1;
+    let revealed: Vec<_> = rels
         .iter_mut()
-        .map(|r| reveal_support(sess, r, receiver))
+        .map(|r| reveal_rows(sess, r, receiver, lone))
         .collect();
+    if lone {
+        let (tuples, values): (Vec<_>, Vec<_>) =
+            revealed.into_iter().flatten().flatten().flatten().unzip();
+        return JoinOutput {
+            schema: rels[0].schema.clone(),
+            out_size: tuples.len(),
+            tuples,
+            annot_shares: Vec::new(),
+            values,
+        };
+    }
     // Step 2: the receiver joins locally, tracking per-relation provenance.
     let mut schema: Vec<String> = Vec::new();
     for r in rels.iter() {
@@ -209,7 +229,7 @@ pub fn oblivious_join(
             let rel_schema = &rels[ri].schema;
             if ri == 0 {
                 for (idx, row) in rows.iter().enumerate() {
-                    if let Some(t) = row {
+                    if let Some((t, _)) = row {
                         let vals: HashMap<String, u64> =
                             rel_schema.iter().cloned().zip(t.iter().copied()).collect();
                         acc.push((vals, vec![idx]));
@@ -225,7 +245,7 @@ pub fn oblivious_join(
                 .collect();
             let mut index: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
             for (idx, row) in rows.iter().enumerate() {
-                if let Some(t) = row {
+                if let Some((t, _)) = row {
                     let key: Vec<u64> = common
                         .iter()
                         .map(|a| {
@@ -241,7 +261,7 @@ pub fn oblivious_join(
                 let key: Vec<u64> = common.iter().map(|a| vals[a]).collect();
                 if let Some(matches) = index.get(&key) {
                     for &idx in matches {
-                        let t = rows[idx].as_ref().expect("indexed row is real");
+                        let (t, _) = rows[idx].as_ref().expect("indexed row is real");
                         let mut vals2 = vals.clone();
                         for (a, &v) in rel_schema.iter().zip(t.iter()) {
                             vals2.insert(a.clone(), v);

@@ -43,5 +43,5 @@ pub use query::SecureQuery;
 /// `secyan-par` crate and DESIGN.md §9.
 pub use secyan_par as par;
 pub use session::Session;
-pub use shape::{PlannedCircuit, QueryShape, ShapeKey};
+pub use shape::{Plan, PlannedCircuit, QueryShape, ShapeKey};
 pub use srel::SecureRelation;

@@ -8,14 +8,14 @@
 //! * [`run_offline`] bootstraps a full [`Session`] (base OTs, OT
 //!   extension, KKRT OPRF), banks shape-budgeted random OTs for Beaver
 //!   derandomization ([`secyan_ot::OtSendBank`]/[`OtRecvBank`]), and
-//!   pre-garbles every circuit the [`QueryShape`] planner can foresee,
+//!   pre-garbles every circuit of the compiled plan ([`QueryShape`]),
 //!   shipping the garbled tables ahead of time. The suspended session
 //!   state *is* the offline material: a [`QueryMaterial`].
-//! * [`run_online`] resumes a session from banked material and runs the
-//!   standard driver; every operator transparently consumes banked OTs
-//!   and pre-garbled circuits through [`Session`]'s digest-checked
-//!   helpers, falling back inline (symmetrically on both parties) on any
-//!   plan miss or bank exhaustion.
+//! * [`run_online`] resumes a session from banked material and executes
+//!   the same plan, consuming banked OTs and pre-garbled circuits through
+//!   [`Session`]'s digest-checked helpers. Only the data-dependent
+//!   full-join product tree, or exhausted banks, fall back inline
+//!   (symmetrically on both parties).
 //! * [`PreprocPool`] keys materials by [`ShapeKey`] with strict
 //!   single-use semantics: material is consumed on take and never
 //!   revisited — reusing correlated randomness across executions would
@@ -33,7 +33,7 @@
 //! [`PhaseMismatch`]: secyan_transport::TransportError::PhaseMismatch
 //! [`CommStats`]: secyan_transport::CommStats
 
-use crate::protocol::{secure_yannakakis, QueryResult};
+use crate::protocol::{execute, secure_yannakakis, QueryResult, StepUse};
 use crate::query::SecureQuery;
 use crate::session::Session;
 use crate::shape::{QueryShape, ShapeKey};
@@ -153,6 +153,7 @@ impl QueryMaterial {
             kkrt_recv: self.kkrt_recv,
             gc_garble: self.gc_garble,
             gc_eval: self.gc_eval,
+            inline_circuits: 0,
         }
     }
 }
@@ -167,8 +168,8 @@ impl QueryMaterial {
 /// direction (derandomized online via Beaver-style corrections),
 /// `shape.kkrt_budget` KKRT OPRF instances per direction (extended against
 /// random codes offline, code-corrected online with one 64-byte word per
-/// instance), and the pre-garbled tables of every planner-foreseen
-/// circuit.
+/// instance), and the pre-garbled tables of every circuit the compiled
+/// plan runs.
 pub fn run_offline(
     ch: &mut Channel,
     query: &SecureQuery,
@@ -236,13 +237,27 @@ pub fn run_online(
     hasher: TweakHasher,
     material: QueryMaterial,
 ) -> QueryResult {
+    run_online_accounted(ch, query, my_relations, receiver, ring, hasher, material).0
+}
+
+/// [`run_online`], also reporting how each step of the compiled plan
+/// ([`crate::shape::Plan`]) met its garbled circuits, one entry per step.
+pub fn run_online_accounted(
+    ch: &mut Channel,
+    query: &SecureQuery,
+    my_relations: &[Option<Relation<NaturalRing>>],
+    receiver: Role,
+    ring: RingCtx,
+    hasher: TweakHasher,
+    material: QueryMaterial,
+) -> (QueryResult, Vec<StepUse>) {
     ch.set_phase(Phase::Online);
-    let out = {
+    let (out, uses) = {
         let mut sess = material.resume(ch, ring, hasher);
-        secure_yannakakis(&mut sess, query, my_relations, receiver)
+        execute(&mut sess, query, my_relations, receiver, true)
     };
     ch.set_phase(Phase::Single);
-    out
+    (out.into(), uses)
 }
 
 /// A shape-keyed pool of offline material. Entries are strictly

@@ -1,10 +1,10 @@
 //! The secure Yannakakis driver (paper §6.4).
 //!
 //! Both parties run this function with the same public [`SecureQuery`];
-//! each passes its own relations' data. Control flow — which operator runs
-//! on which node, in which order — is a function of the public plan only,
-//! as obliviousness demands. The three phases mirror
-//! `secyan_relation::yannakakis` exactly:
+//! each passes its own relations' data. After the batched size
+//! declarations, the driver compiles the public [`Plan`] — which operator
+//! runs on which node, in which order, with which circuits — and executes
+//! its steps. The phases follow `secyan_relation::yannakakis`:
 //!
 //! 1. **Reduce**: bottom-up, each node is either folded into its parent
 //!    (π⊕ + reduce-join) or kept with its non-output attributes
@@ -16,14 +16,13 @@
 //!    (§6.3). When the reduce phase leaves a single node (e.g. TPC-H Q3),
 //!    the driver skips phases 2–3 and reveals that node directly.
 
-use crate::agg::{oblivious_project_agg, AggKind};
-use crate::join::oblivious_join;
+use crate::agg::oblivious_project_agg;
+use crate::join::{oblivious_join, JoinOutput};
 use crate::query::SecureQuery;
 use crate::semijoin::{oblivious_reduce_join, oblivious_semijoin};
 use crate::session::Session;
+use crate::shape::{Op, Plan};
 use crate::srel::SecureRelation;
-use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit};
-use secyan_gc::OutputMode;
 use secyan_relation::{NaturalRing, Relation};
 use secyan_transport::Role;
 
@@ -47,6 +46,15 @@ pub struct SharedQueryResult {
     pub out_size: usize,
 }
 
+/// How one executed plan step met its garbled circuits on this party.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepUse {
+    /// Pre-garbled circuits consumed from offline material.
+    pub pooled: usize,
+    /// Circuits garbled or evaluated inline.
+    pub inline: usize,
+}
+
 /// Run the secure Yannakakis protocol, revealing the results to
 /// `receiver`. `my_relations[i]` is `Some` iff this party owns relation i.
 pub fn secure_yannakakis(
@@ -55,23 +63,7 @@ pub fn secure_yannakakis(
     my_relations: &[Option<Relation<NaturalRing>>],
     receiver: Role,
 ) -> QueryResult {
-    let (mut rels, survivors) = reduce_and_semijoin(sess, query, my_relations);
-    if survivors.len() == 1 {
-        // Reduce collapsed everything (e.g. Q3): reveal the root directly.
-        let root = survivors[0];
-        return reveal_result(sess, &mut rels[root], receiver);
-    }
-    let mut folded: Vec<SecureRelation> = fold_order(query, &survivors)
-        .into_iter()
-        .map(|i| rels[i].clone())
-        .collect();
-    let out = oblivious_join(sess, &mut folded, receiver, true);
-    QueryResult {
-        schema: out.schema,
-        tuples: out.tuples,
-        values: out.values,
-        out_size: out.out_size,
-    }
+    execute(sess, query, my_relations, receiver, true).0.into()
 }
 
 /// Like [`secure_yannakakis`] but leaving the aggregates in shared form
@@ -82,29 +74,7 @@ pub fn secure_yannakakis_shared(
     my_relations: &[Option<Relation<NaturalRing>>],
     receiver: Role,
 ) -> SharedQueryResult {
-    let (mut rels, survivors) = reduce_and_semijoin(sess, query, my_relations);
-    if survivors.len() == 1 {
-        let root = survivors[0];
-        let rel = &mut rels[root];
-        rel.ensure_shared(sess);
-        // Reveal only the tuples' support — here the tuples themselves are
-        // part of the output, but the aggregates stay shared. We reveal
-        // all rows (dummies included) and keep the shares aligned; the
-        // caller's composition circuit treats zero-reconstructing rows as
-        // padding, exactly like the §7 avg example.
-        let out = oblivious_join(sess, std::slice::from_mut(rel), receiver, false);
-        return SharedQueryResult {
-            schema: out.schema,
-            tuples: out.tuples,
-            annot_shares: out.annot_shares,
-            out_size: out.out_size,
-        };
-    }
-    let mut folded: Vec<SecureRelation> = fold_order(query, &survivors)
-        .into_iter()
-        .map(|i| rels[i].clone())
-        .collect();
-    let out = oblivious_join(sess, &mut folded, receiver, false);
+    let out = execute(sess, query, my_relations, receiver, false).0;
     SharedQueryResult {
         schema: out.schema,
         tuples: out.tuples,
@@ -113,211 +83,58 @@ pub fn secure_yannakakis_shared(
     }
 }
 
-/// Phases 1 and 2. Returns the per-node relations (folded nodes left in
-/// place but dead) and the surviving node indices.
-fn reduce_and_semijoin(
+impl From<JoinOutput> for QueryResult {
+    fn from(out: JoinOutput) -> QueryResult {
+        QueryResult {
+            schema: out.schema,
+            tuples: out.tuples,
+            values: out.values,
+            out_size: out.out_size,
+        }
+    }
+}
+
+/// Load the relations, compile the [`Plan`] and execute its steps,
+/// reporting how each step met its circuits.
+pub(crate) fn execute(
     sess: &mut Session,
     query: &SecureQuery,
     my_relations: &[Option<Relation<NaturalRing>>],
-) -> (Vec<SecureRelation>, Vec<usize>) {
-    assert_eq!(my_relations.len(), query.len());
-    let tree = &query.tree;
-    let root = tree.root();
+    receiver: Role,
+    reveal: bool,
+) -> (JoinOutput, Vec<StepUse>) {
     // Load: one batched declaration round for every relation in the plan.
-    let specs: Vec<_> = (0..query.len())
-        .map(|i| {
-            (
-                query.owners[i],
-                query.schemas[i].clone(),
-                my_relations[i].as_ref(),
-            )
-        })
-        .collect();
-    let mut rels: Vec<SecureRelation> = SecureRelation::load_all(sess, specs);
-    let mut removed = vec![false; query.len()];
-    let mut kept_below = vec![false; query.len()];
-
-    // Phase 1: reduce (public control flow — schemas only).
-    for i in tree.bottom_up() {
-        if i == root {
-            let f_prime: Vec<String> = rels[i]
-                .schema
-                .iter()
-                .filter(|a| query.output.contains(a))
-                .cloned()
-                .collect();
-            if f_prime.len() != rels[i].schema.len() {
-                rels[i] = oblivious_project_agg(sess, &rels[i], &f_prime, AggKind::Sum);
+    let mut rels = SecureRelation::load_all(sess, query, my_relations);
+    let sizes: Vec<usize> = rels.iter().map(|r| r.size).collect();
+    let plan = Plan::compile(query, &sizes, receiver, sess.ring.bits() as usize);
+    let mut out = None;
+    let mut uses = Vec::with_capacity(plan.steps.len());
+    for step in &plan.steps {
+        let (banked, inline) = (sess.banked_circuits(), sess.inline_circuits);
+        match &step.op {
+            Op::ProjectAgg { node, attrs, kind } => {
+                rels[*node] = oblivious_project_agg(sess, &rels[*node], attrs, *kind);
             }
-            continue;
-        }
-        let p = tree.parent(i).expect("non-root");
-        let parent_schema = rels[p].schema.clone();
-        let f_prime: Vec<String> = rels[i]
-            .schema
-            .iter()
-            .filter(|a| query.output.contains(a) || parent_schema.contains(a))
-            .cloned()
-            .collect();
-        let mergeable = !kept_below[i] && f_prime.iter().all(|a| parent_schema.contains(a));
-        if mergeable {
-            let mut folded = oblivious_project_agg(sess, &rels[i], &f_prime, AggKind::Sum);
-            let mut parent = rels[p].clone();
-            rels[p] = oblivious_reduce_join(sess, &mut parent, &mut folded);
-            removed[i] = true;
-        } else {
-            if f_prime.len() != rels[i].schema.len() {
-                rels[i] = oblivious_project_agg(sess, &rels[i], &f_prime, AggKind::Sum);
+            Op::ReduceJoin { f, g } | Op::Semijoin { f, g } => {
+                let (mut rf, mut rg) = (rels[*f].clone(), rels[*g].clone());
+                rels[*f] = if matches!(step.op, Op::Semijoin { .. }) {
+                    oblivious_semijoin(sess, &mut rf, &mut rg)
+                } else {
+                    oblivious_reduce_join(sess, &mut rf, &mut rg)
+                };
             }
-            kept_below[p] = true;
+            Op::Finish { order } => {
+                let mut folded: Vec<SecureRelation> =
+                    order.iter().map(|&i| rels[i].clone()).collect();
+                out = Some(oblivious_join(sess, &mut folded, receiver, reveal));
+            }
         }
+        uses.push(StepUse {
+            pooled: banked - sess.banked_circuits(),
+            inline: sess.inline_circuits - inline,
+        });
     }
-    let survivors: Vec<usize> = (0..query.len()).filter(|&i| !removed[i]).collect();
-
-    // Phase 2: semijoins over survivors (skipped when only the root is
-    // left).
-    if survivors.len() > 1 {
-        for i in tree.bottom_up() {
-            if removed[i] || i == root {
-                continue;
-            }
-            let p = tree.parent(i).expect("non-root");
-            let mut parent = rels[p].clone();
-            let mut child = rels[i].clone();
-            rels[p] = oblivious_semijoin(sess, &mut parent, &mut child);
-            rels[i] = child;
-        }
-        for i in tree.top_down() {
-            if removed[i] || i == root {
-                continue;
-            }
-            let p = tree.parent(i).expect("non-root");
-            let mut parent = rels[p].clone();
-            let mut child = rels[i].clone();
-            rels[i] = oblivious_semijoin(sess, &mut child, &mut parent);
-            rels[p] = parent;
-        }
-    }
-    (rels, survivors)
-}
-
-/// Bottom-up fold order over the surviving nodes, starting from the
-/// deepest leaf so every prefix of the fold is connected in the tree.
-pub(crate) fn fold_order(query: &SecureQuery, survivors: &[usize]) -> Vec<usize> {
-    let mut order: Vec<usize> = query
-        .tree
-        .top_down()
-        .into_iter()
-        .filter(|i| survivors.contains(i))
-        .collect();
-    // Top-down from the root keeps every prefix connected; the join is
-    // commutative so this is as good as bottom-up and simpler to compute.
-    order.dedup();
-    order
-}
-
-/// Reveal a single relation's real rows (tuples + aggregate values) to the
-/// receiver — the fast path when the reduce phase ends with one node.
-fn reveal_result(sess: &mut Session, rel: &mut SecureRelation, receiver: Role) -> QueryResult {
-    rel.ensure_shared(sess);
-    let n = rel.size;
-    let ell = sess.ring.bits() as usize;
-    let attrs = rel.schema.len();
-    let i_am_receiver = sess.role() == receiver;
-    let owner_is_garbler = rel.owner != receiver;
-    let circuit = reveal_values_circuit(n, ell, attrs, owner_is_garbler);
-    if i_am_receiver {
-        let mut bits = Vec::new();
-        for &s in &rel.annot_shares {
-            bits.extend(u64_to_bits(s, ell));
-        }
-        let out = sess
-            .evaluate(&circuit, &bits, OutputMode::RevealToEvaluator)
-            .expect("reveals to evaluator");
-        let stride = ell + if owner_is_garbler { attrs * 64 } else { 0 };
-        let mut tuples = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..n {
-            let base = i * stride;
-            let v = bits_to_u64(&out[base..base + ell]);
-            if v == 0 {
-                continue; // dummy or dangling
-            }
-            let tuple = if owner_is_garbler {
-                (0..attrs)
-                    .map(|a| bits_to_u64(&out[base + ell + a * 64..base + ell + (a + 1) * 64]))
-                    .collect()
-            } else {
-                rel.tuples.as_ref().expect("receiver owns tuples")[i].clone()
-            };
-            tuples.push(tuple);
-            values.push(v);
-        }
-        let out_size = tuples.len();
-        QueryResult {
-            schema: rel.schema.clone(),
-            tuples,
-            values,
-            out_size,
-        }
-    } else {
-        // Packing matches the circuit declaration: all v-shares first,
-        // then all tuple words.
-        let mut bits = Vec::new();
-        for &s in &rel.annot_shares {
-            bits.extend(u64_to_bits(s, ell));
-        }
-        if owner_is_garbler {
-            for t in rel.tuples.as_ref().expect("owner side") {
-                for &v in t {
-                    bits.extend(u64_to_bits(v, 64));
-                }
-            }
-        }
-        sess.garble(&circuit, &bits, OutputMode::RevealToEvaluator);
-        QueryResult {
-            schema: rel.schema.clone(),
-            tuples: Vec::new(),
-            values: Vec::new(),
-            out_size: 0,
-        }
-    }
-}
-
-/// Per row: the reconstructed aggregate v, and the tuple gated by
-/// `v ≠ 0` when the garbler owns the tuples. Zero-valued rows are
-/// indistinguishable from dummies, exactly as the paper notes (a zero
-/// aggregate contributes nothing to the result).
-pub(crate) fn reveal_values_circuit(
-    n: usize,
-    ell: usize,
-    attrs: usize,
-    owner_is_garbler: bool,
-) -> Circuit {
-    let mut b = Builder::new();
-    let va: Vec<_> = (0..n).map(|_| b.alice_word(ell)).collect();
-    let ta: Vec<Vec<_>> = (0..n)
-        .map(|_| {
-            if owner_is_garbler {
-                (0..attrs).map(|_| b.alice_word(64)).collect()
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    let vb: Vec<_> = (0..n).map(|_| b.bob_word(ell)).collect();
-    for i in 0..n {
-        let v = b.add_words(&va[i], &vb[i]);
-        b.output_word(&v);
-        if owner_is_garbler {
-            let ind = b.is_nonzero_word(&v);
-            for w in &ta[i] {
-                let gated = b.and_word_bit(w, ind);
-                b.output_word(&gated);
-            }
-        }
-    }
-    b.finish()
+    (out.expect("a plan ends with its finish step"), uses)
 }
 
 #[cfg(test)]

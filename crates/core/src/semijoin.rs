@@ -18,6 +18,7 @@
 
 use crate::agg::{oblivious_project_agg, AggKind};
 use crate::session::Session;
+use crate::shape::{Dims, GcSpec};
 use crate::srel::{dummy_key, SecureRelation};
 use secyan_circuit::{u64_to_bits, Circuit, Word};
 use secyan_gc::{with_shared_outputs, SharedOutputSpec};
@@ -26,8 +27,9 @@ use secyan_oep::{
     shared_oep_perm_holder_finish,
 };
 use secyan_psi::{
-    psi_receiver_begin, psi_receiver_finish, psi_sender, shared_payload_psi_receiver_begin,
-    shared_payload_psi_receiver_finish, shared_payload_psi_sender, CuckooTable,
+    psi_params, psi_receiver_begin, psi_receiver_finish, psi_sender,
+    shared_payload_psi_receiver_begin, shared_payload_psi_receiver_finish,
+    shared_payload_psi_sender, CuckooTable,
 };
 use std::collections::HashMap;
 
@@ -61,6 +63,37 @@ pub(crate) fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, 
             .collect()
     });
     (circuit, spec)
+}
+
+/// The public choices of a reduce-join `R_F ⋈⊗ R_G`, which the operator
+/// and [`crate::shape::Plan`] both branch on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JoinRoute {
+    /// Cross-party only: the circuit-PSI, garbled by the `R_G` owner — the
+    /// matching circuit on plain payloads (§6.5), else k-index (§5.5).
+    pub psi: Option<GcSpec>,
+    /// The product (garbled by the `R_F` owner) takes v in the clear while
+    /// `R_F`'s annotations are owner-known (§6.5).
+    pub v_plain: bool,
+}
+
+impl JoinRoute {
+    pub(crate) fn of(rf: Dims, rg: Dims) -> JoinRoute {
+        let bins = psi_params(rf.size, rg.size).bins;
+        JoinRoute {
+            psi: (rf.owner != rg.owner).then_some(if rg.is_plain {
+                GcSpec::Matching { bins }
+            } else {
+                GcSpec::KIndex { bins }
+            }),
+            v_plain: rf.is_plain,
+        }
+    }
+}
+
+/// The attributes of `f` that `g` shares, in `f`'s order.
+pub(crate) fn shared_attrs(f: &[String], g: &[String]) -> Vec<String> {
+    f.iter().filter(|a| g.contains(a)).cloned().collect()
 }
 
 /// Map each R_F row to the cuckoo bin holding its join key (bin 0 for
@@ -125,22 +158,14 @@ pub fn oblivious_reduce_join(
     rf: &mut SecureRelation,
     rg: &mut SecureRelation,
 ) -> SecureRelation {
-    let join_attrs: Vec<String> = rf
-        .schema
-        .iter()
-        .filter(|a| rg.schema.contains(a))
-        .cloned()
-        .collect();
+    let join_attrs = shared_attrs(&rf.schema, &rg.schema);
     let n = rf.size;
     let i_own_f = rf.is_mine(sess);
-    let same_owner = rf.owner == rg.owner;
-    // The product needs R_F's annotations; keep them plain only when the
-    // owner garbles with cleartext v (always possible — the garbler is the
-    // R_F owner).
-    let v_plain = rf.is_plain;
+    let route = JoinRoute::of(rf.dims(), rg.dims());
+    let banked = sess.banked_circuits();
 
     // Obtain my z-shares aligned with R_F's rows.
-    let my_z: Vec<u64> = if same_owner {
+    let my_z: Vec<u64> = if route.psi.is_none() {
         rg.ensure_shared(sess);
         // Owner matches locally; one extra dummy slot catches non-matches.
         let mut g_shares = rg.annot_shares.clone();
@@ -212,7 +237,7 @@ pub fn oblivious_reduce_join(
             // corrections ride the same outbound super-frame as the PSI's.
             // The sender consumes them in this order: PSI first, outer
             // OEP last — matching the staging order here.
-            if rg.is_plain {
+            if matches!(route.psi, Some(GcSpec::Matching { .. })) {
                 let psi = psi_receiver_begin(
                     sess.ch,
                     &x,
@@ -273,7 +298,7 @@ pub fn oblivious_reduce_join(
                     }
                 })
                 .collect();
-            let psi = if rg.is_plain {
+            let psi = if matches!(route.psi, Some(GcSpec::Matching { .. })) {
                 let plain = rg.plain_annots.as_ref().expect("plain annots");
                 let items: Vec<(u64, u64)> =
                     keys.iter().copied().zip(plain.iter().copied()).collect();
@@ -314,7 +339,14 @@ pub fn oblivious_reduce_join(
         }
     };
 
+    // The PSI takes its circuit straight from the session's pre-garbled
+    // queue; count it when none matched.
+    if route.psi.is_some() && sess.banked_circuits() == banked {
+        sess.inline_circuits += 1;
+    }
+
     // Product circuit: new annotations [v ⊗ z]. The R_F owner garbles.
+    let v_plain = route.v_plain;
     let my_v: Vec<u64> = if i_own_f {
         if v_plain {
             rf.plain_annots.clone().expect("plain on owner")
@@ -346,12 +378,7 @@ pub fn oblivious_semijoin(
     rf: &mut SecureRelation,
     rg: &mut SecureRelation,
 ) -> SecureRelation {
-    let join_attrs: Vec<String> = rf
-        .schema
-        .iter()
-        .filter(|a| rg.schema.contains(a))
-        .cloned()
-        .collect();
+    let join_attrs = shared_attrs(&rf.schema, &rg.schema);
     let mut support = oblivious_project_agg(sess, rg, &join_attrs, AggKind::Support);
     oblivious_reduce_join(sess, rf, &mut support)
 }

@@ -54,6 +54,9 @@ pub struct Session<'a> {
     /// Pre-received garbled tables waiting to be consumed (this party
     /// evaluates), in plan order.
     pub gc_eval: VecDeque<EvalMaterial>,
+    /// Circuits garbled or evaluated inline because no pre-garbled
+    /// material matched (every circuit, outside the offline/online split).
+    pub(crate) inline_circuits: usize,
 }
 
 impl<'a> Session<'a> {
@@ -94,6 +97,7 @@ impl<'a> Session<'a> {
             kkrt_recv,
             gc_garble: VecDeque::new(),
             gc_eval: VecDeque::new(),
+            inline_circuits: 0,
         }
     }
 
@@ -112,21 +116,41 @@ impl<'a> Session<'a> {
         self.rng.gen()
     }
 
+    /// Pre-garbled circuits not yet consumed, on either side.
+    pub(crate) fn banked_circuits(&self) -> usize {
+        self.gc_garble.len() + self.gc_eval.len()
+    }
+
+    /// Pop the pre-garbled material for `circuit` off the queue front, or
+    /// count an inline garbling.
+    fn take_garble(&mut self, circuit: &Circuit) -> Option<GarbleMaterial> {
+        let material = take_garble(&mut self.gc_garble, circuit);
+        self.inline_circuits += usize::from(material.is_none());
+        material
+    }
+
+    /// Evaluator-side counterpart of [`Session::take_garble`].
+    fn take_eval(&mut self, circuit: &Circuit) -> Option<EvalMaterial> {
+        let material = take_eval(&mut self.gc_eval, circuit);
+        self.inline_circuits += usize::from(material.is_none());
+        material
+    }
+
     /// Garble `circuit`, consuming pre-garbled offline material when the
-    /// front of the plan matches (by circuit digest), else inline.
+    /// front of the queue matches (by circuit digest), else inline.
     ///
     /// The pooled-vs-inline decision is symmetric across the two parties:
-    /// both plan the same public circuit sequence offline, so their deque
-    /// fronts carry the same digest and both fall back together when the
-    /// online driver runs a circuit the planner did not foresee (e.g. the
-    /// data-dependent full-join product tree).
+    /// both provision the compiled plan's public circuit sequence offline,
+    /// so their queue fronts carry the same digest, and both fall back
+    /// together on the one circuit the plan leaves out (the data-dependent
+    /// full-join product tree).
     pub fn garble(
         &mut self,
         circuit: &Circuit,
         my_inputs: &[bool],
         mode: OutputMode,
     ) -> Option<Vec<bool>> {
-        match take_garble(&mut self.gc_garble, circuit) {
+        match self.take_garble(circuit) {
             Some(material) => garble_online(
                 self.ch,
                 circuit,
@@ -148,7 +172,7 @@ impl<'a> Session<'a> {
     }
 
     /// Evaluate `circuit`, consuming pre-received tables when the front of
-    /// the plan matches (see [`Session::garble`] for the symmetry
+    /// the queue matches (see [`Session::garble`] for the symmetry
     /// argument).
     pub fn evaluate(
         &mut self,
@@ -156,7 +180,7 @@ impl<'a> Session<'a> {
         my_inputs: &[bool],
         mode: OutputMode,
     ) -> Option<Vec<bool>> {
-        match take_eval(&mut self.gc_eval, circuit) {
+        match self.take_eval(circuit) {
             Some(material) => evaluate_online(
                 self.ch,
                 circuit,
@@ -185,7 +209,7 @@ impl<'a> Session<'a> {
         spec: &SharedOutputSpec,
         my_inputs: &[bool],
     ) -> Vec<u64> {
-        match take_garble(&mut self.gc_garble, circuit) {
+        match self.take_garble(circuit) {
             Some(material) => garble_shared_online(
                 self.ch,
                 circuit,
@@ -215,7 +239,7 @@ impl<'a> Session<'a> {
         spec: &SharedOutputSpec,
         my_inputs: &[bool],
     ) -> Vec<u64> {
-        match take_eval(&mut self.gc_eval, circuit) {
+        match self.take_eval(circuit) {
             Some(material) => evaluate_shared_online(
                 self.ch,
                 circuit,

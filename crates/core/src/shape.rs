@@ -1,34 +1,33 @@
-//! Query shapes: the public skeleton an offline phase can precompute for.
+//! Query shapes and the compiled plan: the public skeleton an offline phase
+//! can precompute for.
 //!
 //! Everything the secure Yannakakis driver *does* — which operator runs on
 //! which node, which circuits get garbled, how much OT each step draws —
 //! is a function of the public plan: the join tree, the schemas, the
 //! per-relation sizes, the annotation ring width, and who receives the
-//! result. That is the protocol's obliviousness property, and it is also
-//! exactly what makes an offline/online split possible: two queries with
-//! the same *shape* consume interchangeable precomputed material, no
+//! result (§6.4). That is the protocol's obliviousness property, and it is
+//! also exactly what makes an offline/online split possible: two queries
+//! with the same *shape* consume interchangeable precomputed material, no
 //! matter how their private tuples differ.
 //!
-//! [`QueryShape::derive`] canonicalizes a plan into a [`ShapeKey`] (the
-//! pool index) and replays the driver's control flow over size-only
-//! stand-ins to produce the ordered list of garbled circuits the online
-//! run will execute ([`QueryShape::planned`]) plus a deterministic OT
-//! budget. The replay covers the reduce and semijoin phases and the
-//! reveal step — everything whose circuit dimensions are fixed by the
-//! shape. The full-join product tree is *excluded* deliberately: its row
-//! count is the data-dependent join output size, which is only announced
-//! online. Unplanned circuits are harmless — consumption is digest-checked
-//! ([`secyan_gc::circuit_digest`]) and falls back to inline garbling
-//! symmetrically on both parties.
+//! [`Plan::compile`] walks the join tree once and returns the ordered
+//! operator [`Step`]s with the parameters ([`GcSpec`]) of their circuits.
+//! The online driver ([`crate::protocol`]) executes those steps, and
+//! [`QueryShape::derive`] lists their circuits for the offline phase. Every
+//! public choice of an operator lives in one function that the operator
+//! and the plan both call (`AggRoute::of`, `JoinRoute::of`), so every
+//! planned circuit is consumed, in order. The one unplanned circuit is the
+//! full-join product tree: its row count is the data-dependent join output
+//! size, so it always garbles inline. Consumption is digest-checked
+//! ([`secyan_gc::circuit_digest`]) as a safety net.
 
-use crate::agg::{merge_circuit, AggKind};
+use crate::agg::{merge_circuit, AggKind, AggRoute};
 use crate::join::reveal_circuit;
-use crate::protocol::{fold_order, reveal_values_circuit};
 use crate::query::SecureQuery;
-use crate::semijoin::product_circuit;
+use crate::semijoin::{product_circuit, shared_attrs, JoinRoute};
 use secyan_circuit::Circuit;
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
-use secyan_psi::{k_circuit, matching_circuit, psi_params};
+use secyan_psi::{k_circuit, matching_circuit};
 use secyan_transport::Role;
 
 /// Canonical 64-bit fingerprint of a query shape: join-tree topology,
@@ -40,18 +39,42 @@ pub struct ShapeKey(pub u64);
 
 impl ShapeKey {
     /// Compute the key alone, without planning circuits — the cheap lookup
-    /// path for pool queries ([`crate::preproc::PreprocPool`]).
+    /// path for pool queries ([`crate::preproc::PreprocPool`]). Hashes
+    /// every public component of the plan; length prefixes keep the
+    /// encoding injective.
     pub fn of(query: &SecureQuery, sizes: &[usize], receiver: Role, ell: usize) -> ShapeKey {
         assert_eq!(sizes.len(), query.len(), "one size per relation");
-        shape_key(query, sizes, receiver, ell)
+        let mut h = Sha256::new();
+        h.update(b"secyan-shape-v1");
+        h.update(&(ell as u64).to_le_bytes());
+        h.update(&[receiver.is_alice() as u8]);
+        h.update(&(query.len() as u64).to_le_bytes());
+        for (i, &size) in sizes.iter().enumerate() {
+            h.update(&[query.owners[i].is_alice() as u8]);
+            h.update(&(size as u64).to_le_bytes());
+            h.update(&(query.schemas[i].len() as u64).to_le_bytes());
+            for a in &query.schemas[i] {
+                h.update(&(a.len() as u64).to_le_bytes());
+                h.update(a.as_bytes());
+            }
+            // Parent index (or the node's own index for the root) pins the
+            // tree topology.
+            let p = query.tree.parent(i).unwrap_or(i);
+            h.update(&(p as u64).to_le_bytes());
+        }
+        h.update(&(query.output.len() as u64).to_le_bytes());
+        for a in &query.output {
+            h.update(&(a.len() as u64).to_le_bytes());
+            h.update(a.as_bytes());
+        }
+        ShapeKey(digest_to_u64(&h.finalize()))
     }
 }
 
 /// One garbled circuit the online driver will run, in execution order.
 #[derive(Debug, Clone)]
 pub struct PlannedCircuit {
-    /// The exact circuit (the planner calls the same builders as the
-    /// online operators, so the digests match).
+    /// The exact circuit, built from the plan step's [`GcSpec`].
     pub circuit: Circuit,
     /// Which party garbles it; the other evaluates.
     pub garbler: Role,
@@ -62,8 +85,8 @@ pub struct PlannedCircuit {
 #[derive(Debug, Clone)]
 pub struct QueryShape {
     pub key: ShapeKey,
-    /// Garbled circuits of the reduce/semijoin/reveal steps, in the order
-    /// the online driver executes them.
+    /// Garbled circuits of the compiled plan's steps, in the order the
+    /// online driver executes them.
     pub planned: Vec<PlannedCircuit>,
     /// Number of offline random OTs to bank per direction. A deterministic
     /// (deliberately generous) function of the shape, so both parties
@@ -71,10 +94,8 @@ pub struct QueryShape {
     /// stay mirrored.
     pub ot_budget: usize,
     /// Number of KKRT OPRF instances to bank per direction (sender and
-    /// receiver extensions both sized to this). Exact for the planned
-    /// cross-party joins: two OPPRFs of `bins` instances each per join.
-    /// Like the OT budget, it is a function of public sizes only, so both
-    /// parties' banked-vs-inline decisions stay mirrored.
+    /// receiver extensions both sized to this): exactly what the plan's
+    /// circuit-PSIs draw ([`Plan::kkrt_instances`]).
     pub kkrt_budget: usize,
 }
 
@@ -84,245 +105,291 @@ impl QueryShape {
     /// annotation ring. Both parties must call this with identical
     /// arguments (all public), and the result is deterministic.
     pub fn derive(query: &SecureQuery, sizes: &[usize], receiver: Role, ell: usize) -> QueryShape {
-        assert_eq!(sizes.len(), query.len(), "one size per relation");
-        let key = shape_key(query, sizes, receiver, ell);
-        let (planned, kkrt_budget) = plan_circuits(query, sizes, receiver, ell);
+        let key = ShapeKey::of(query, sizes, receiver, ell);
+        let plan = Plan::compile(query, sizes, receiver, ell);
+        let planned: Vec<PlannedCircuit> = plan
+            .circuits()
+            .map(|pg| PlannedCircuit {
+                circuit: pg.gc.build(plan.ell),
+                garbler: pg.garbler,
+            })
+            .collect();
         let ot_budget = ot_budget(sizes, &planned);
         QueryShape {
             key,
             planned,
             ot_budget,
-            kkrt_budget,
+            kkrt_budget: plan.kkrt_instances(),
         }
     }
 }
 
-/// Hash every public component of the plan into the pool key. Length
-/// prefixes keep the encoding injective.
-fn shape_key(query: &SecureQuery, sizes: &[usize], receiver: Role, ell: usize) -> ShapeKey {
-    let mut h = Sha256::new();
-    h.update(b"secyan-shape-v1");
-    h.update(&(ell as u64).to_le_bytes());
-    h.update(&[receiver.is_alice() as u8]);
-    h.update(&(query.len() as u64).to_le_bytes());
-    for (i, &size) in sizes.iter().enumerate().take(query.len()) {
-        h.update(&[query.owners[i].is_alice() as u8]);
-        h.update(&(size as u64).to_le_bytes());
-        h.update(&(query.schemas[i].len() as u64).to_le_bytes());
-        for a in &query.schemas[i] {
-            h.update(&(a.len() as u64).to_le_bytes());
-            h.update(a.as_bytes());
-        }
-        // Parent index (or the node's own index for the root) pins the
-        // tree topology.
-        let p = query.tree.parent(i).unwrap_or(i);
-        h.update(&(p as u64).to_le_bytes());
-    }
-    h.update(&(query.output.len() as u64).to_le_bytes());
-    for a in &query.output {
-        h.update(&(a.len() as u64).to_le_bytes());
-        h.update(a.as_bytes());
-    }
-    ShapeKey(digest_to_u64(&h.finalize()))
+/// The public face of a relation: the fields every operator choice reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Dims {
+    pub owner: Role,
+    pub size: usize,
+    /// Annotations still owner-known (§6.5).
+    pub is_plain: bool,
 }
 
-/// Size-only stand-in for a [`crate::srel::SecureRelation`]: exactly the
-/// fields the driver's control flow reads.
-#[derive(Clone)]
-struct ShapeRel {
-    schema: Vec<String>,
-    owner: Role,
-    size: usize,
-    is_plain: bool,
+/// Parameters of one garbled circuit a plan step runs; [`GcSpec::build`]
+/// calls the operator's own builder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GcSpec {
+    /// π⊕/π¹ merge-gate chain over `n` rows (§6.1).
+    Merge { n: usize, kind: AggKind },
+    /// Circuit-PSI matching over `bins` cuckoo bins, plain payloads (§6.5).
+    Matching { bins: usize },
+    /// Circuit-PSI k-index selection over `bins`, shared payloads (§5.5).
+    KIndex { bins: usize },
+    /// Reduce-join product v ⊗ z over `n` rows, v in the clear when
+    /// `v_plain` (§6.5).
+    Product { n: usize, v_plain: bool },
+    /// Reveal of `n` rows to the receiver: the values of a lone survivor
+    /// (`values`), else one relation's nonzero support for the full join.
+    Reveal {
+        n: usize,
+        attrs: usize,
+        owner_is_garbler: bool,
+        values: bool,
+    },
 }
 
-/// Replays the operator plumbing of the online operators, recording every
-/// circuit they will build. Each method must mirror its operator's
-/// control flow *exactly* — same builders, same parameters, same
-/// `is_plain` transitions — or the digests diverge (safe, but wasteful).
-struct Planner {
-    ell: usize,
-    planned: Vec<PlannedCircuit>,
-    /// KKRT OPRF instances the planned PSIs will consume (per direction).
-    kkrt_instances: usize,
+impl GcSpec {
+    /// Build the circuit over an `ell`-bit annotation ring.
+    pub fn build(self, ell: usize) -> Circuit {
+        match self {
+            GcSpec::Merge { n, kind } => merge_circuit(n, ell, kind).0,
+            GcSpec::Matching { bins } => matching_circuit(bins, ell).0,
+            GcSpec::KIndex { bins } => k_circuit(bins, ell),
+            GcSpec::Product { n, v_plain } => product_circuit(n, ell, v_plain).0,
+            GcSpec::Reveal {
+                n,
+                attrs,
+                owner_is_garbler,
+                values,
+            } => reveal_circuit(n, ell, attrs, owner_is_garbler, values),
+        }
+    }
 }
 
-impl Planner {
-    /// Mirror of [`crate::agg::oblivious_project_agg`].
-    fn project_agg(&mut self, rel: &ShapeRel, attrs: &[String], kind: AggKind) -> ShapeRel {
-        if rel.is_plain {
-            // §6.5 local path: no communication, stays plain.
-            return ShapeRel {
-                schema: attrs.to_vec(),
-                owner: rel.owner,
-                size: rel.size,
-                is_plain: true,
-            };
-        }
-        if rel.size > 0 {
-            let (circuit, _) = merge_circuit(rel.size, self.ell, kind);
-            self.planned.push(PlannedCircuit {
-                circuit,
-                garbler: rel.owner,
-            });
-        }
-        ShapeRel {
-            schema: attrs.to_vec(),
-            owner: rel.owner,
-            size: rel.size,
-            is_plain: false,
-        }
-    }
+/// A step's garbled circuit and the party that garbles it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedGc {
+    pub gc: GcSpec,
+    pub garbler: Role,
+}
 
-    /// Mirror of [`crate::semijoin::oblivious_reduce_join`]. Cross-party
-    /// joins run a circuit PSI first: the matching circuit (plain `R_G`
-    /// payloads, §6.5) or the k-index circuit (shared payloads, §5.5),
-    /// garbled by the `R_G` owner, fed by two OPPRFs of `bins` KKRT
-    /// instances each. Then the product circuit over `rf`'s rows, garbled
-    /// by the `R_F` owner. The OEPs inside draw from the OT banks, not the
-    /// circuit schedule.
-    fn reduce_join(&mut self, rf: &ShapeRel, rg: &ShapeRel) -> ShapeRel {
-        if rf.owner != rg.owner {
-            let params = psi_params(rf.size, rg.size);
-            let circuit = if rg.is_plain {
-                matching_circuit(params.bins, self.ell).0
-            } else {
-                k_circuit(params.bins, self.ell)
-            };
-            self.planned.push(PlannedCircuit {
-                circuit,
-                garbler: rg.owner,
-            });
-            self.kkrt_instances += 2 * params.bins;
-        }
-        let (circuit, _) = product_circuit(rf.size, self.ell, rf.is_plain);
-        self.planned.push(PlannedCircuit {
-            circuit,
-            garbler: rf.owner,
-        });
-        ShapeRel {
-            schema: rf.schema.clone(),
-            owner: rf.owner,
-            size: rf.size,
-            is_plain: false,
-        }
-    }
+/// The operator a plan step runs, on join-tree node indices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Op {
+    /// `node ← π_attrs(node)` (§6.1).
+    ProjectAgg {
+        node: usize,
+        attrs: Vec<String>,
+        kind: AggKind,
+    },
+    /// `f ← f ⋈⊗ g` (§6.2); `g` holds a projection-aggregation output.
+    ReduceJoin { f: usize, g: usize },
+    /// `f ← f ⋉⊗ g` (§6.2).
+    Semijoin { f: usize, g: usize },
+    /// Reveal the surviving nodes: a lone survivor directly, several
+    /// through the full join (§6.3) in this fold order.
+    Finish { order: Vec<usize> },
+}
 
-    /// Mirror of [`crate::semijoin::oblivious_semijoin`].
-    fn semijoin(&mut self, rf: &ShapeRel, rg: &ShapeRel) -> ShapeRel {
-        let join_attrs: Vec<String> = rf
-            .schema
-            .iter()
-            .filter(|a| rg.schema.contains(a))
-            .cloned()
+/// One operator step of a compiled plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Step {
+    pub op: Op,
+    /// The garbled circuits the operator runs, in execution order. The
+    /// full join's product tree is not listed: its size is the
+    /// data-dependent join output size.
+    pub circuits: Vec<PlannedGc>,
+}
+
+/// The compiled secure Yannakakis plan: the ordered operator steps, a
+/// function of public data only. The last step is the [`Op::Finish`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan {
+    /// Annotation ring width the circuits are built for.
+    pub ell: usize,
+    pub steps: Vec<Step>,
+}
+
+impl Plan {
+    /// Compile the plan for `query` at the public per-relation `sizes`,
+    /// revealing to `receiver` over an `ell`-bit ring: the reduce,
+    /// semijoin and finish phases of [`crate::protocol`]. Builds no
+    /// circuit.
+    pub fn compile(query: &SecureQuery, sizes: &[usize], receiver: Role, ell: usize) -> Plan {
+        assert_eq!(sizes.len(), query.len(), "one size per relation");
+        let tree = &query.tree;
+        let mut nodes: Vec<Node> = (0..query.len())
+            .map(|i| Node {
+                schema: query.schemas[i].clone(),
+                dims: Dims {
+                    owner: query.owners[i],
+                    size: sizes[i],
+                    is_plain: true,
+                },
+            })
             .collect();
-        let support = self.project_agg(rg, &join_attrs, AggKind::Support);
-        self.reduce_join(rf, &support)
-    }
-}
+        let mut steps = Vec::new();
+        let mut removed = vec![false; query.len()];
+        let mut kept_below = vec![false; query.len()];
 
-/// Replay [`crate::protocol::secure_yannakakis`]'s public control flow
-/// over size-only relations, collecting the circuit schedule.
-fn plan_circuits(
-    query: &SecureQuery,
-    sizes: &[usize],
-    receiver: Role,
-    ell: usize,
-) -> (Vec<PlannedCircuit>, usize) {
-    let tree = &query.tree;
-    let root = tree.root();
-    let mut p = Planner {
-        ell,
-        planned: Vec::new(),
-        kkrt_instances: 0,
-    };
-    let mut rels: Vec<ShapeRel> = (0..query.len())
-        .map(|i| ShapeRel {
-            schema: query.schemas[i].clone(),
-            owner: query.owners[i],
-            size: sizes[i],
-            is_plain: true,
-        })
-        .collect();
-    let mut removed = vec![false; query.len()];
-    let mut kept_below = vec![false; query.len()];
-
-    // Phase 1: reduce — mirrors `reduce_and_semijoin` line for line.
-    for i in tree.bottom_up() {
-        if i == root {
-            let f_prime: Vec<String> = rels[i]
+        for i in tree.bottom_up() {
+            let parent = tree.parent(i);
+            let parent_schema = parent.map_or(Vec::new(), |p| nodes[p].schema.clone());
+            let f_prime: Vec<String> = nodes[i]
                 .schema
                 .iter()
-                .filter(|a| query.output.contains(a))
+                .filter(|a| query.output.contains(a) || parent_schema.contains(a))
                 .cloned()
                 .collect();
-            if f_prime.len() != rels[i].schema.len() {
-                rels[i] = p.project_agg(&rels[i], &f_prime, AggKind::Sum);
+            let folds = !kept_below[i] && f_prime.iter().all(|a| parent_schema.contains(a));
+            match parent {
+                Some(p) if folds => {
+                    steps.push(Node::project_agg(&mut nodes, i, f_prime, AggKind::Sum));
+                    steps.push(Node::join(&mut nodes, Op::ReduceJoin { f: p, g: i }));
+                    removed[i] = true;
+                }
+                _ => {
+                    if f_prime.len() != nodes[i].schema.len() {
+                        steps.push(Node::project_agg(&mut nodes, i, f_prime, AggKind::Sum));
+                    }
+                    if let Some(p) = parent {
+                        kept_below[p] = true;
+                    }
+                }
             }
-            continue;
         }
-        let parent = tree.parent(i).expect("non-root");
-        let parent_schema = rels[parent].schema.clone();
-        let f_prime: Vec<String> = rels[i]
-            .schema
-            .iter()
-            .filter(|a| query.output.contains(a) || parent_schema.contains(a))
-            .cloned()
+        // Top-down from the root keeps every prefix of the fold connected
+        // in the tree; the join is commutative.
+        let order: Vec<usize> = tree
+            .top_down()
+            .into_iter()
+            .filter(|&i| !removed[i])
             .collect();
-        let mergeable = !kept_below[i] && f_prime.iter().all(|a| parent_schema.contains(a));
-        if mergeable {
-            let folded = p.project_agg(&rels[i], &f_prime, AggKind::Sum);
-            rels[parent] = p.reduce_join(&rels[parent].clone(), &folded);
-            removed[i] = true;
-        } else {
-            if f_prime.len() != rels[i].schema.len() {
-                rels[i] = p.project_agg(&rels[i], &f_prime, AggKind::Sum);
-            }
-            kept_below[parent] = true;
-        }
-    }
-    let survivors: Vec<usize> = (0..query.len()).filter(|&i| !removed[i]).collect();
 
-    // Phase 2: semijoin sweeps.
-    if survivors.len() > 1 {
-        for i in tree.bottom_up() {
-            if removed[i] || i == root {
-                continue;
+        if order.len() > 1 {
+            let inner = |i: &usize| !removed[*i] && *i != tree.root();
+            for i in tree.bottom_up().into_iter().filter(inner) {
+                let p = tree.parent(i).expect("non-root");
+                steps.push(Node::join(&mut nodes, Op::Semijoin { f: p, g: i }));
             }
-            let parent = tree.parent(i).expect("non-root");
-            rels[parent] = p.semijoin(&rels[parent].clone(), &rels[i].clone());
-        }
-        for i in tree.top_down() {
-            if removed[i] || i == root {
-                continue;
+            for i in tree.top_down().into_iter().filter(inner) {
+                let p = tree.parent(i).expect("non-root");
+                steps.push(Node::join(&mut nodes, Op::Semijoin { f: i, g: p }));
             }
-            let parent = tree.parent(i).expect("non-root");
-            rels[i] = p.semijoin(&rels[i].clone(), &rels[parent].clone());
         }
-    }
 
-    // Phase 3. Single survivor: the direct reveal circuit. Multiple
-    // survivors: one support-reveal circuit per folded relation; the
-    // product tree that follows runs at the data-dependent join output
-    // size and cannot be planned (online falls back inline).
-    if survivors.len() == 1 {
-        let r = &rels[survivors[0]];
-        let owner_is_garbler = r.owner != receiver;
-        p.planned.push(PlannedCircuit {
-            circuit: reveal_values_circuit(r.size, ell, r.schema.len(), owner_is_garbler),
-            garbler: receiver.peer(),
-        });
-    } else {
-        for i in fold_order(query, &survivors) {
-            let r = &rels[i];
-            let owner_is_garbler = r.owner != receiver;
-            p.planned.push(PlannedCircuit {
-                circuit: reveal_circuit(r.size, ell, r.schema.len(), owner_is_garbler),
+        let circuits = order
+            .iter()
+            .map(|&i| PlannedGc {
+                gc: GcSpec::Reveal {
+                    n: nodes[i].dims.size,
+                    attrs: nodes[i].schema.len(),
+                    owner_is_garbler: nodes[i].dims.owner != receiver,
+                    values: order.len() == 1,
+                },
                 garbler: receiver.peer(),
+            })
+            .collect();
+        steps.push(Step {
+            op: Op::Finish { order },
+            circuits,
+        });
+        Plan { ell, steps }
+    }
+
+    /// Every planned circuit, in execution order.
+    pub fn circuits(&self) -> impl Iterator<Item = &PlannedGc> {
+        self.steps.iter().flat_map(|s| &s.circuits)
+    }
+
+    /// KKRT OPRF instances the plan draws per direction: each circuit-PSI
+    /// runs two OPPRFs of `bins` instances.
+    pub fn kkrt_instances(&self) -> usize {
+        self.circuits()
+            .map(|pg| match pg.gc {
+                GcSpec::Matching { bins } | GcSpec::KIndex { bins } => 2 * bins,
+                _ => 0,
+            })
+            .sum()
+    }
+}
+
+/// A node's public state as the compiled steps transform it.
+#[derive(Clone)]
+struct Node {
+    schema: Vec<String>,
+    dims: Dims,
+}
+
+impl Node {
+    /// π_attrs over this node: its merge circuit, if any, and the result.
+    fn agg(&self, attrs: &[String], kind: AggKind, circuits: &mut Vec<PlannedGc>) -> Node {
+        let route = AggRoute::of(self.dims, attrs, kind);
+        if route == AggRoute::Merge {
+            let n = self.dims.size;
+            circuits.push(PlannedGc {
+                gc: GcSpec::Merge { n, kind },
+                garbler: self.dims.owner,
             });
         }
+        Node {
+            schema: attrs.to_vec(),
+            dims: Dims {
+                is_plain: route == AggRoute::Local,
+                ..self.dims
+            },
+        }
     }
-    (p.planned, p.kkrt_instances)
+
+    /// The step `node ← π_attrs(node)`.
+    fn project_agg(nodes: &mut [Node], node: usize, attrs: Vec<String>, kind: AggKind) -> Step {
+        let mut circuits = Vec::new();
+        nodes[node] = nodes[node].agg(&attrs, kind, &mut circuits);
+        Step {
+            op: Op::ProjectAgg { node, attrs, kind },
+            circuits,
+        }
+    }
+
+    /// The join step `op`: `f ← f ⋈⊗ g`, or `f ← f ⋉⊗ g` (the support
+    /// projection of `g` on the shared attributes, then a reduce-join).
+    fn join(nodes: &mut [Node], op: Op) -> Step {
+        let (Op::ReduceJoin { f, g } | Op::Semijoin { f, g }) = op else {
+            unreachable!("not a join step: {op:?}")
+        };
+        let semijoin = matches!(op, Op::Semijoin { .. });
+        let (rf, mut rg) = (&nodes[f], nodes[g].clone());
+        let mut step = Step {
+            op,
+            circuits: Vec::new(),
+        };
+        if semijoin {
+            let attrs = shared_attrs(&rf.schema, &rg.schema);
+            rg = rg.agg(&attrs, AggKind::Support, &mut step.circuits);
+        }
+        let route = JoinRoute::of(rf.dims, rg.dims);
+        if let Some(gc) = route.psi {
+            step.circuits.push(PlannedGc {
+                gc,
+                garbler: rg.dims.owner,
+            });
+        }
+        let (n, v_plain) = (rf.dims.size, route.v_plain);
+        step.circuits.push(PlannedGc {
+            gc: GcSpec::Product { n, v_plain },
+            garbler: rf.dims.owner,
+        });
+        nodes[f].dims.is_plain = false;
+        step
+    }
 }
 
 /// The per-direction OT bank budget: evaluator input labels for every
@@ -393,5 +460,24 @@ mod tests {
         assert!(!shape.planned.is_empty());
         assert_eq!(shape.planned.last().unwrap().garbler, Role::Bob);
         assert!(shape.ot_budget > 0);
+    }
+
+    #[test]
+    fn scalar_sum_plans_no_merge_circuit() {
+        // A grand-total SUM folds shares locally (the linear path of
+        // `oblivious_project_agg`): projecting the shared root onto the
+        // empty output runs no merge circuit.
+        let q = SecureQuery::new(
+            vec![strings(&["a"]), strings(&["a", "b"]), strings(&["b"])],
+            vec![Role::Alice, Role::Bob, Role::Alice],
+            JoinTree::chain(3),
+            Vec::new(),
+        );
+        let plan = Plan::compile(&q, &[24, 48, 24], Role::Alice, 64);
+        let scalar = |s: &Step| matches!(&s.op, Op::ProjectAgg { attrs, .. } if attrs.is_empty());
+        assert!(plan
+            .steps
+            .iter()
+            .any(|s| scalar(s) && s.circuits.is_empty()));
     }
 }

@@ -8,7 +8,9 @@
 //! annotation shares reconstruct to 0 — are tracked on the owner side
 //! only; the other party cannot tell them apart from real rows.
 
+use crate::query::SecureQuery;
 use crate::session::Session;
+use crate::shape::Dims;
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
 use secyan_relation::{NaturalRing, Relation};
 use secyan_transport::{ReadExt, Role, WriteExt};
@@ -39,10 +41,6 @@ pub struct SecureRelation {
     pub plain_annots: Option<Vec<u64>>,
 }
 
-/// One batched-load entry: public owner and schema, plus the relation
-/// itself at the owner's position (`None` on the other side).
-pub type RelationSpec<'a> = (Role, Vec<String>, Option<&'a Relation<NaturalRing>>);
-
 impl SecureRelation {
     /// Load an owner-local annotated relation into the protocol. Only the
     /// public size travels; the annotations stay owner-known (`is_plain`)
@@ -65,13 +63,24 @@ impl SecureRelation {
         }
     }
 
-    /// Load several relations in one declaration round: every size this
-    /// side owns is staged before any peer declaration is received, so all
-    /// size messages of one direction coalesce into a single super-frame
-    /// instead of ping-ponging once per relation. Both parties call this
-    /// with the same public `(owner, schema)` sequence; owners pass
-    /// `Some(relation)` at their positions.
-    pub fn load_all(sess: &mut Session, specs: Vec<RelationSpec<'_>>) -> Vec<SecureRelation> {
+    /// Load every relation of `query` in one declaration round: every size
+    /// this side owns is staged before any peer declaration is received,
+    /// so all size messages of one direction coalesce into a single
+    /// super-frame instead of ping-ponging once per relation. Both parties
+    /// call this with the same public query; owners pass `Some(relation)`
+    /// at their positions of `my_relations`.
+    pub fn load_all(
+        sess: &mut Session,
+        query: &SecureQuery,
+        my_relations: &[Option<Relation<NaturalRing>>],
+    ) -> Vec<SecureRelation> {
+        assert_eq!(my_relations.len(), query.len());
+        let role = sess.role();
+        let owned = |i: usize| {
+            my_relations[i]
+                .as_ref()
+                .expect("owner must supply the relation")
+        };
         // Both parties arrive here with dependency-free declarations — a
         // simultaneous round. If both staged eagerly, the two opening
         // sends would race and the round meters would depend on thread
@@ -81,28 +90,22 @@ impl SecureRelation {
         // eager side's super-frame (its first slot is a receive). The
         // deferred declarations still coalesce — they stage ahead of
         // whatever this side sends next in the same direction.
-        let i_go_first = specs
-            .first()
-            .is_none_or(|(owner, ..)| sess.role() == *owner);
+        let i_go_first = query.owners.first().is_none_or(|&owner| owner == role);
         if i_go_first {
             // Pass 1: stage every owned size, in plan order.
-            for (owner, _, rel) in &specs {
-                if sess.role() == *owner {
-                    let rel = rel.expect("owner must supply the relation");
-                    sess.ch.send_u64(rel.len() as u64);
-                }
+            for i in (0..query.len()).filter(|&i| query.owners[i] == role) {
+                sess.ch.send_u64(owned(i).len() as u64);
             }
         }
         // Pass 2: build; the peer's declarations arrive in plan order.
-        specs
-            .into_iter()
-            .map(|(owner, schema, rel)| {
-                if sess.role() == owner {
-                    let rel = rel.expect("owner must supply the relation");
+        (0..query.len())
+            .map(|i| {
+                let (owner, schema) = (query.owners[i], query.schemas[i].clone());
+                if owner == role {
                     if !i_go_first {
-                        sess.ch.send_u64(rel.len() as u64);
+                        sess.ch.send_u64(owned(i).len() as u64);
                     }
-                    Self::from_owned(sess, owner, schema, rel)
+                    Self::from_owned(sess, owner, schema, owned(i))
                 } else {
                     let size = crate::session::recv_declared_size(sess.ch, "relation");
                     Self::from_declared(owner, schema, size)
@@ -169,6 +172,15 @@ impl SecureRelation {
             self.annot_shares = sess.ch.recv_u64_vec(self.size);
         }
         self.is_plain = false;
+    }
+
+    /// The public fields every operator choice reads.
+    pub(crate) fn dims(&self) -> Dims {
+        Dims {
+            owner: self.owner,
+            size: self.size,
+            is_plain: self.is_plain,
+        }
     }
 
     /// Am I the owner?

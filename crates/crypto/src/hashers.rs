@@ -5,9 +5,7 @@
 //! AES for this (EMP, SECYAN's backend); [`TweakHasher::Aes`] reproduces
 //! that construction from scratch (see [`crate::aes`]) and is the default
 //! on every hot path. [`TweakHasher::Sha256`] remains available as a
-//! slower, independent random-oracle-style cross-check, and
-//! [`TweakHasher::Fast`] — a non-cryptographic mixer — serves large-scale
-//! benchmark runs where only the cost *shape* matters. The choice never
+//! slower, independent random-oracle-style cross-check. The choice never
 //! affects message sizes or protocol structure, only the per-gate constant.
 //!
 //! The AES variant is the standard tweaked MMO construction
@@ -42,8 +40,6 @@ pub enum TweakHasher {
     /// Fixed-key AES-128 in the tweaked MMO construction. The default.
     #[default]
     Aes,
-    /// An xorshift-multiply mixer. **Insecure**; benchmark-only.
-    Fast,
 }
 
 /// The linear orthomorphism σ(hi ‖ lo) = (hi ⊕ lo) ‖ hi. Both σ and
@@ -65,7 +61,6 @@ impl TweakHasher {
                 let s = sigma(b.0);
                 Block(fixed_key().encrypt_u128(s ^ tweak as u128) ^ s)
             }
-            TweakHasher::Fast => Block(fast_mix(b.0, tweak)),
         }
     }
 
@@ -80,9 +75,6 @@ impl TweakHasher {
                 // positions, so swapping them changes the input to π.
                 let s = sigma(sigma(a.0)) ^ sigma(b.0);
                 Block(fixed_key().encrypt_u128(s ^ tweak as u128) ^ s)
-            }
-            TweakHasher::Fast => {
-                Block(fast_mix(a.0, tweak) ^ fast_mix(b.0.rotate_left(64), !tweak))
             }
         }
     }
@@ -290,7 +282,6 @@ impl TweakHasher {
                 }
                 h as u64
             }
-            TweakHasher::Fast => fast_row(tweak, row),
         }
     }
 
@@ -388,36 +379,11 @@ fn sha_row(tweak: u64, row: &[u8]) -> u64 {
     digest_to_u64(&h.finalize())
 }
 
-/// Non-cryptographic row compression (benchmark-only, like `fast_mix`).
-fn fast_row(tweak: u64, row: &[u8]) -> u64 {
-    let mut h = tweak as u128;
-    for (k, chunk) in row.chunks(16).enumerate() {
-        let mut m = [0u8; 16];
-        m[..chunk.len()].copy_from_slice(chunk);
-        h = fast_mix(h ^ u128::from_le_bytes(m), tweak.wrapping_add(k as u64));
-    }
-    h as u64
-}
-
-/// SplitMix-style 128-bit mixer. Not cryptographic.
-fn fast_mix(x: u128, tweak: u64) -> u128 {
-    let mut lo = (x as u64) ^ tweak.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut hi = ((x >> 64) as u64) ^ tweak.rotate_left(32);
-    for _ in 0..2 {
-        lo = (lo ^ (lo >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        hi = (hi ^ (hi >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let t = lo ^ hi.rotate_left(17);
-        hi ^= lo.rotate_left(43);
-        lo = t;
-    }
-    ((hi as u128) << 64) | lo as u128
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ALL: [TweakHasher; 3] = [TweakHasher::Sha256, TweakHasher::Aes, TweakHasher::Fast];
+    const ALL: [TweakHasher; 2] = [TweakHasher::Sha256, TweakHasher::Aes];
 
     #[test]
     fn deterministic_and_tweak_sensitive() {
@@ -554,24 +520,8 @@ mod tests {
 
     #[test]
     fn variants_disagree_with_each_other() {
-        // Sanity: the three hashers are genuinely different functions.
+        // Sanity: the two hashers are genuinely different functions.
         let b = Block(42);
-        let outs = [
-            TweakHasher::Sha256.hash(b, 1),
-            TweakHasher::Aes.hash(b, 1),
-            TweakHasher::Fast.hash(b, 1),
-        ];
-        assert_ne!(outs[0], outs[1]);
-        assert_ne!(outs[1], outs[2]);
-        assert_ne!(outs[0], outs[2]);
-    }
-
-    #[test]
-    fn fast_mix_spreads_bits() {
-        // Single-bit input changes flip many output bits (sanity, not a
-        // security claim).
-        let base = fast_mix(0, 0);
-        let flipped = fast_mix(1, 0);
-        assert!((base ^ flipped).count_ones() > 20);
+        assert_ne!(TweakHasher::Sha256.hash(b, 1), TweakHasher::Aes.hash(b, 1));
     }
 }

@@ -91,7 +91,7 @@ impl EvalMaterial {
 
 /// Pop the front of a garbler-side material queue iff it was pre-garbled
 /// for exactly `circuit` (by digest). Anything else — empty queue, or a
-/// schedule the offline planner did not foresee — returns `None`, routing
+/// circuit the offline plan did not list — returns `None`, routing
 /// the caller to the inline fallback. Both parties derive the digest from
 /// the same public circuit, so their pop-vs-fallback decisions mirror.
 pub fn take_garble(

@@ -43,7 +43,7 @@ pub struct PsiOutput {
 }
 
 /// The public parameters both parties derive identically. Public so the
-/// offline planner (`secyan-core`'s query shapes) can reproduce the bin
+/// offline plan (`secyan-core`'s query shapes) can reproduce the bin
 /// and degree bounds from the public relation sizes alone.
 pub struct PsiParams {
     pub bins: usize,
@@ -60,7 +60,7 @@ pub fn psi_params(receiver_size: usize, sender_size: usize) -> PsiParams {
 }
 
 /// The per-bin matching circuit: shares of indicator and payload. Public
-/// so the offline planner can pre-garble it — its dimensions depend only
+/// so the offline plan can pre-garble it — its dimensions depend only
 /// on the public bin count and ring width.
 pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
     let spec = SharedOutputSpec::uniform(2 * bins, ell);

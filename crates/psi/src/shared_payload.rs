@@ -39,7 +39,7 @@ use crate::opprf::{opprf_evaluate_finish, opprf_program_with_key};
 
 /// The k-index circuit: per bin, shares of the indicator plus the routing
 /// index k_b in the clear (toward the evaluator = PSI receiver). Public so
-/// the offline planner can pre-garble it from the public bin count.
+/// the offline plan can pre-garble it from the public bin count.
 pub fn k_circuit(bins: usize, ell: usize) -> Circuit {
     let mut b = Builder::new();
     // Garbler (= PSI sender): per-bin indicator masks, then s, w, d.

@@ -20,6 +20,8 @@
 
 use crate::gen::{AggKind, Instance};
 use secyan_baseline::{naive_gc_evaluator, naive_gc_garbler, NaiveRows};
+use secyan_core::preproc::run_online_accounted;
+use secyan_core::protocol::StepUse;
 use secyan_core::{run_offline, run_online, secure_yannakakis, QueryResult, Session};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_ot::{OtReceiver, OtSender};
@@ -329,6 +331,15 @@ pub fn check_instance(inst: &Instance) -> Differential {
 /// the OT banks, forcing per-step inline fallback mid-online (applied
 /// symmetrically, as a real exhausted pool would be).
 pub fn run_secure_phase_split(inst: &Instance, shed: Option<(usize, usize)>) -> SecureRun {
+    run_secure_phase_split_accounted(inst, shed).0
+}
+
+/// [`run_secure_phase_split`], also returning how each plan step met its
+/// garbled circuits on each party (Alice's steps, then Bob's).
+pub fn run_secure_phase_split_accounted(
+    inst: &Instance,
+    shed: Option<(usize, usize)>,
+) -> (SecureRun, [Vec<StepUse>; 2]) {
     let query = inst.query();
     let (qa, qb) = (query.clone(), query);
     let ra = inst.party_relations(Role::Alice);
@@ -337,7 +348,7 @@ pub fn run_secure_phase_split(inst: &Instance, shed: Option<(usize, usize)>) -> 
     let (s2, sizes) = (sizes.clone(), sizes);
     let ring = inst.ring_ctx();
     let (sa, sb) = session_seeds(inst);
-    let (res, (), stats, handle) = run_protocol_captured(
+    let ((res, use_a), (_, use_b), stats, handle) = run_protocol_captured(
         move |ch| {
             let mut m = run_offline(
                 ch,
@@ -351,22 +362,23 @@ pub fn run_secure_phase_split(inst: &Instance, shed: Option<(usize, usize)>) -> 
             if let Some((c, cap)) = shed {
                 m.shed(c, cap);
             }
-            run_online(ch, &qa, &ra, Role::Alice, ring, TweakHasher::default(), m)
+            run_online_accounted(ch, &qa, &ra, Role::Alice, ring, TweakHasher::default(), m)
         },
         move |ch| {
             let mut m = run_offline(ch, &qb, &s2, Role::Alice, ring, TweakHasher::default(), sb);
             if let Some((c, cap)) = shed {
                 m.shed(c, cap);
             }
-            run_online(ch, &qb, &rb, Role::Alice, ring, TweakHasher::default(), m);
+            run_online_accounted(ch, &qb, &rb, Role::Alice, ring, TweakHasher::default(), m)
         },
     );
-    SecureRun {
+    let run = SecureRun {
         result: canonical_result(ring, &res),
         out_size: res.out_size,
         stats,
         transcript: handle.messages(),
-    }
+    };
+    (run, [use_a, use_b])
 }
 
 /// [`run_secure_phase_split`] under a transport fault plan: the fault may

@@ -203,6 +203,33 @@ impl Instance {
         }
     }
 
+    /// The benchmark chain3 instance: three relations of 24/48/24 rows,
+    /// alternating ownership, scalar SUM at ℓ = 64.
+    pub fn chain3_bench() -> Instance {
+        let strings = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        let rel = |schema: &[&str], n: u64, row: fn(u64) -> (Vec<u64>, u64)| {
+            Relation::from_rows(
+                NaturalRing(RingCtx::new(64)),
+                strings(schema),
+                (0..n).map(row).collect(),
+            )
+        };
+        Instance {
+            seed: 42,
+            ell: 64,
+            agg: AggKind::Sum,
+            schemas: vec![strings(&["a"]), strings(&["a", "b"]), strings(&["b"])],
+            owners: vec![Role::Alice, Role::Bob, Role::Alice],
+            tree: JoinTree::chain(3),
+            output: Vec::new(),
+            relations: vec![
+                rel(&["a"], 24, |i| (vec![i], i % 7 + 1)),
+                rel(&["a", "b"], 48, |i| (vec![i % 24, i % 31], i % 5 + 1)),
+                rel(&["b"], 24, |i| (vec![i % 31], i % 3 + 1)),
+            ],
+        }
+    }
+
     /// Generate a baseline-compatible instance: a 2–3 relation chain of
     /// binary relations with a scalar SUM output and tiny sizes, exactly
     /// the query shape `secyan-baseline`'s Cartesian-product circuit

@@ -24,8 +24,9 @@ pub mod gen;
 
 pub use diff::{
     canonical_result, check_instance, oracle, plaintext_yannakakis, run_baseline, run_secure,
-    run_secure_phase_split, run_secure_phase_split_tcp, run_secure_phase_split_with_faults,
-    run_secure_tcp, run_secure_tcp_eager, run_secure_tcp_proxied, run_secure_uncoalesced,
-    run_secure_with_faults, scalar_of, session_seeds, Differential, Rows, SecureRun,
+    run_secure_phase_split, run_secure_phase_split_accounted, run_secure_phase_split_tcp,
+    run_secure_phase_split_with_faults, run_secure_tcp, run_secure_tcp_eager,
+    run_secure_tcp_proxied, run_secure_uncoalesced, run_secure_with_faults, scalar_of,
+    session_seeds, Differential, Rows, SecureRun,
 };
 pub use gen::{AggKind, Instance};

@@ -617,11 +617,11 @@ mod tests {
         let spec2 = spec.clone();
         let (got, _, _) = run_protocol(
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Fast, 201);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::default(), 201);
                 run_secure_instance(&mut sess, &spec)
             },
             move |ch| {
-                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::Fast, 202);
+                let mut sess = Session::new(ch, RingCtx::new(32), TweakHasher::default(), 202);
                 run_secure_instance(&mut sess, &spec2)
             },
         );

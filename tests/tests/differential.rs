@@ -11,11 +11,12 @@
 //! (or `generate_chain(seed)`) reproduces the exact instance locally. See
 //! README's "Running the fuzzer" and DESIGN.md §10.
 
+use secyan_core::shape::{Op, Plan, QueryShape};
 use secyan_crypto::RingCtx;
 use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_testkit::{
-    check_instance, oracle, run_secure, run_secure_phase_split, run_secure_phase_split_with_faults,
-    run_secure_tcp, scalar_of, AggKind, Instance, SecureRun,
+    check_instance, oracle, run_secure, run_secure_phase_split, run_secure_phase_split_accounted,
+    run_secure_phase_split_with_faults, run_secure_tcp, scalar_of, AggKind, Instance, SecureRun,
 };
 use secyan_transport::{FaultKind, FaultPlan, Role};
 
@@ -156,6 +157,47 @@ fn phase_split_chain_family_matches_single_phase() {
         let split = run_secure_phase_split(&inst, None);
         assert_eq!(split.result, single.result, "{}", inst.describe());
     }
+}
+
+/// The offline phase provisions exactly what the online phase runs: every
+/// step of a phase-split run consumes exactly its planned circuits on both
+/// parties, so no pre-garbled circuit is left over, and only the full
+/// join's product tree (sized by the data-dependent join output, so no
+/// plan can list it) garbles inline.
+#[test]
+fn phase_split_consumes_every_planned_circuit() {
+    let instances = (1..=40)
+        .flat_map(|seed| [Instance::generate_chain(seed), Instance::generate(seed)])
+        .chain([Instance::chain3_bench()]);
+    let mut drifted = Vec::new();
+    for inst in instances {
+        let (query, sizes, ell) = (inst.query(), inst.sizes(), inst.ell as usize);
+        let plan = Plan::compile(&query, &sizes, Role::Alice, ell);
+        let provisioned = QueryShape::derive(&query, &sizes, Role::Alice, ell)
+            .planned
+            .len();
+        let (_, uses) = run_secure_phase_split_accounted(&inst, None);
+        // Every provisioned circuit pooled, each step exactly its own, and
+        // inline only the full join's product tree.
+        let exact = uses.iter().all(|steps| {
+            steps.iter().map(|u| u.pooled).sum::<usize>() == provisioned
+                && steps.len() == plan.steps.len()
+                && plan.steps.iter().zip(steps).all(|(step, used)| {
+                    let full_join = matches!(&step.op, Op::Finish { order } if order.len() > 1);
+                    used.pooled == step.circuits.len() && used.inline <= usize::from(full_join)
+                })
+        });
+        if !exact {
+            drifted.push(format!("{} -> {uses:?}", inst.describe()));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "{} instances left planned circuits unconsumed or garbled inline outside the \
+         full-join product:\n{}",
+        drifted.len(),
+        drifted.join("\n")
+    );
 }
 
 /// A pool exhausted mid-online — pre-garbled entries consumed, OT banks

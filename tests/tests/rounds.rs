@@ -14,10 +14,9 @@
 //!   only*: results, logical transcripts, and every stage-time meter are
 //!   byte-identical; only the frame counters shrink.
 
-use secyan_relation::{JoinTree, NaturalRing, Relation};
 use secyan_testkit::{
     run_secure, run_secure_phase_split, run_secure_phase_split_tcp, run_secure_tcp,
-    run_secure_tcp_eager, run_secure_uncoalesced, AggKind, Instance, SecureRun,
+    run_secure_tcp_eager, run_secure_uncoalesced, Instance, SecureRun,
 };
 use secyan_transport::Role;
 
@@ -34,45 +33,9 @@ const CHAIN3_ONLINE_SUPER_ROUND_BOUND: u64 = 16;
 const CHAIN3_ONLINE_SUPER_ROUNDS: u64 = 16;
 const CHAIN3_OFFLINE_SUPER_ROUNDS: u64 = 11;
 
-/// The benchmark chain3 instance (mirrors `secyan-bench`'s shape: three
-/// relations of 24/48/24 rows, alternating ownership, scalar SUM).
-fn chain3_bench_instance() -> Instance {
-    let ring = secyan_crypto::RingCtx::new(64);
-    let nat = NaturalRing(ring);
-    let strings = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-    let (n1, n2, n3) = (24u64, 48u64, 24u64);
-    let relations = vec![
-        Relation::from_rows(
-            nat,
-            strings(&["a"]),
-            (0..n1).map(|i| (vec![i], i % 7 + 1)).collect(),
-        ),
-        Relation::from_rows(
-            nat,
-            strings(&["a", "b"]),
-            (0..n2).map(|i| (vec![i % n1, i % 31], i % 5 + 1)).collect(),
-        ),
-        Relation::from_rows(
-            nat,
-            strings(&["b"]),
-            (0..n3).map(|i| (vec![i % 31], i % 3 + 1)).collect(),
-        ),
-    ];
-    Instance {
-        seed: 42,
-        ell: 64,
-        agg: AggKind::Sum,
-        schemas: vec![strings(&["a"]), strings(&["a", "b"]), strings(&["b"])],
-        owners: vec![Role::Alice, Role::Bob, Role::Alice],
-        tree: JoinTree::chain(3),
-        output: Vec::new(),
-        relations,
-    }
-}
-
 #[test]
 fn chain3_online_super_rounds_golden() {
-    let run = run_secure_phase_split(&chain3_bench_instance(), None);
+    let run = run_secure_phase_split(&Instance::chain3_bench(), None);
     assert!(
         run.stats.online_super_rounds <= CHAIN3_ONLINE_SUPER_ROUND_BOUND,
         "chain3 online phase regressed past the acceptance bound: \
@@ -219,7 +182,7 @@ fn coalescing_only_changes_wire_framing() {
 /// and every other meter matches the in-process phase-split run.
 #[test]
 fn chain3_super_round_pins_hold_over_tcp() {
-    let inst = chain3_bench_instance();
+    let inst = Instance::chain3_bench();
     let tcp = run_secure_phase_split_tcp(&inst);
     assert_eq!(
         tcp.stats.online_super_rounds, CHAIN3_ONLINE_SUPER_ROUNDS,
