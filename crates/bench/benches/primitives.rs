@@ -38,7 +38,7 @@ fn bench_ot_extension(c: &mut Criterion) {
 
 fn bench_garbling(c: &mut Criterion) {
     let mut g = c.benchmark_group("garbling");
-    // A 32-bit multiplier: the dominant gate block in the product circuits.
+    // A 32-bit multiplier: the dominant gate block in the full join's product tree.
     let mut b = Builder::new();
     let x = b.alice_word(32);
     let y = b.bob_word(32);

@@ -15,7 +15,8 @@
 //!   sort + shared OEP + a merge-gate garbled circuit.
 //! * [`semijoin`] — the reduce-join R_F ⋈⊗ R_{F'} (F′ ⊆ F) and the
 //!   annotated semijoin R_F ⋉⊗ R_{F'} (§6.2), in cross-party (via PSI
-//!   with secret-shared payloads) and same-party (via OEP only) variants.
+//!   with secret-shared payloads) and same-party (via OEP only) variants;
+//!   the annotation product is Gilboa multiplication over correlated OT.
 //! * [`join`] — the oblivious join (§6.3): reveal nonzero support, local
 //!   Yannakakis join, OEP + product circuit for the annotations.
 //! * [`protocol`] — the three-phase driver (§6.4) with the §6.5

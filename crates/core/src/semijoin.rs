@@ -12,57 +12,123 @@
 //!   (with plain payloads while `R_G`'s annotations are still owner-known,
 //!   §6.5; with secret-shared payloads otherwise, §5.5) aligns `R_G`'s
 //!   annotations with `R_F`'s cuckoo bins, then an OEP and a product
-//!   circuit finish the job;
+//!   finish the job;
 //! * **same-party** — no PSI needed: the owner matches tuples locally and
-//!   a single OEP + product circuit does the rest.
+//!   a single OEP + product does the rest.
+//!
+//! The product multiplies additive shares over Z_{2^ℓ} without a circuit:
+//! Gilboa multiplication spends ℓ correlated OTs per cross term
+//! ([`product_owner`] / [`product_other`]), drawn from the session's OT
+//! banks when the offline phase provisioned them.
 
 use crate::agg::{oblivious_project_agg, AggKind};
 use crate::session::Session;
 use crate::shape::{Dims, GcSpec};
 use crate::srel::{dummy_key, SecureRelation};
-use secyan_circuit::{u64_to_bits, Circuit, Word};
-use secyan_gc::{with_shared_outputs, SharedOutputSpec};
+use secyan_crypto::RingCtx;
 use secyan_oep::{
     shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
     shared_oep_perm_holder_finish,
 };
+use secyan_ot::{OtReceiver, OtSender};
 use secyan_psi::{
     psi_params, psi_receiver_begin, psi_receiver_finish, psi_sender,
     shared_payload_psi_receiver_begin, shared_payload_psi_receiver_finish,
     shared_payload_psi_sender, CuckooTable,
 };
+use secyan_transport::Channel;
 use std::collections::HashMap;
 
-/// The product circuit: out_i = v_i ⊗ z_i as fresh shares. When
-/// `v_plain`, the garbler (the `R_F` owner) feeds v_i in the clear (§6.5);
-/// otherwise v_i enters as shares from both parties. z_i always enters as
-/// shares.
-pub(crate) fn product_circuit(n: usize, ell: usize, v_plain: bool) -> (Circuit, SharedOutputSpec) {
-    let spec = SharedOutputSpec::uniform(n, ell);
-    let circuit = with_shared_outputs(&spec, |b| {
-        let va: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
-        let za: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
-        let (vb, zb): (Vec<Word>, Vec<Word>) = if v_plain {
-            (Vec::new(), (0..n).map(|_| b.bob_word(ell)).collect())
-        } else {
-            (
-                (0..n).map(|_| b.bob_word(ell)).collect(),
-                (0..n).map(|_| b.bob_word(ell)).collect(),
-            )
-        };
-        (0..n)
-            .map(|i| {
-                let v = if v_plain {
-                    va[i].clone()
-                } else {
-                    b.add_words(&va[i], &vb[i])
-                };
-                let z = b.add_words(&za[i], &zb[i]);
-                b.mul_words(&v, &z)
-            })
-            .collect()
-    });
-    (circuit, spec)
+/// Correlated OTs one reduce-join product over `n` rows draws: ℓ per
+/// cross term per row — one term (v times the peer's z-share) while v is
+/// plain at the `R_F` owner (§6.5), two (plus the peer's v-share times the
+/// owner's z-share) once it is shared.
+pub(crate) fn product_ots(n: usize, ell: usize, v_plain: bool) -> usize {
+    n * ell * if v_plain { 1 } else { 2 }
+}
+
+/// The OT choice bits of a ring word, least significant first.
+fn choice_bits(x: u64, ell: usize) -> impl Iterator<Item = bool> {
+    // ct-ok: branchless bit extraction — `& 1 == 1` compiles to a mask
+    // test, as in `OtSender::setup`.
+    (0..ell).map(move |k| x >> k & 1 == 1)
+}
+
+/// The correlations 2^k·x (mod 2^ℓ), k < ℓ, that pair with the bits of
+/// the peer's factor: a shift by a public amount, no branch on `x`.
+fn shifts(ring: RingCtx, x: u64) -> impl Iterator<Item = u64> {
+    (0..ring.bits()).map(move |k| ring.reduce(x << k))
+}
+
+/// The `R_F` owner's side of the reduce-join product `[v ⊗ z]` (Gilboa
+/// multiplication over correlated OT; the owner is the OT sender). `v`
+/// holds the owner's plain annotations when `v_plain` (§6.5), else its
+/// v-shares; `z` holds its z-shares. Bit k of the peer's z-share selects
+/// 2^k·v, and once v is shared bit k of the peer's v-share selects 2^k
+/// times the owner's z-share. The owner subtracts its sender words and adds
+/// its local term (its v times its z-share). Returns the owner's shares of
+/// the products. Receive, then send: the peer's OT corrections arrive
+/// first and one ⌈ℓ/8⌉-byte word per OT answers them.
+pub fn product_owner(
+    ch: &mut Channel,
+    ring: RingCtx,
+    ot: &mut OtSender,
+    v: &[u64],
+    z: &[u64],
+    v_plain: bool,
+) -> Vec<u64> {
+    assert_eq!(v.len(), z.len(), "one v per z");
+    let ell = ring.bits() as usize;
+    let mut deltas = Vec::with_capacity(product_ots(z.len(), ell, v_plain));
+    for (&vi, &zi) in v.iter().zip(z) {
+        deltas.extend(shifts(ring, vi));
+        if !v_plain {
+            deltas.extend(shifts(ring, zi));
+        }
+    }
+    let ours = ot.send_correlated(ch, &deltas, ell);
+    let per_row = product_ots(1, ell, v_plain);
+    v.iter()
+        .zip(z)
+        .zip(ours.chunks_exact(per_row))
+        .map(|((&vi, &zi), s)| ring.sub(ring.mul(vi, zi), s.iter().fold(0, |a, &x| ring.add(a, x))))
+        .collect()
+}
+
+/// The other party's side of [`product_owner`] (the OT receiver). `v`
+/// holds its v-shares, or is `None` while v is plain at the owner; `z`
+/// holds its z-shares. Its choice bits are the bits of its z-share, then of
+/// its v-share; it sums the words it receives and adds its local term (its
+/// v-share times its z-share). Returns this party's shares of the products.
+pub fn product_other(
+    ch: &mut Channel,
+    ring: RingCtx,
+    ot: &mut OtReceiver,
+    v: Option<&[u64]>,
+    z: &[u64],
+) -> Vec<u64> {
+    let ell = ring.bits() as usize;
+    let v_plain = v.is_none();
+    let v = v.unwrap_or(&[]);
+    assert!(v_plain || v.len() == z.len(), "one v per z");
+    let mut choices = Vec::with_capacity(product_ots(z.len(), ell, v_plain));
+    for (i, &zi) in z.iter().enumerate() {
+        choices.extend(choice_bits(zi, ell));
+        if !v_plain {
+            choices.extend(choice_bits(v[i], ell));
+        }
+    }
+    let pads = ot.begin_recv(ch, &choices);
+    let theirs = ot.finish_recv_correlated(ch, &pads, &choices, ell);
+    let per_row = product_ots(1, ell, v_plain);
+    z.iter()
+        .enumerate()
+        .zip(theirs.chunks_exact(per_row))
+        .map(|((i, &zi), r)| {
+            let local = if v_plain { 0 } else { ring.mul(v[i], zi) };
+            r.iter().fold(local, |a, &x| ring.add(a, x))
+        })
+        .collect()
 }
 
 /// The public choices of a reduce-join `R_F ⋈⊗ R_G`, which the operator
@@ -72,8 +138,8 @@ pub(crate) struct JoinRoute {
     /// Cross-party only: the circuit-PSI, garbled by the `R_G` owner — the
     /// matching circuit on plain payloads (§6.5), else k-index (§5.5).
     pub psi: Option<GcSpec>,
-    /// The product (garbled by the `R_F` owner) takes v in the clear while
-    /// `R_F`'s annotations are owner-known (§6.5).
+    /// The product takes v in the clear at the `R_F` owner while `R_F`'s
+    /// annotations are owner-known (§6.5): one cross term, not two.
     pub v_plain: bool,
 }
 
@@ -112,41 +178,6 @@ fn route_rows(cuckoo: &CuckooTable, key_of_row: &[Option<u64>]) -> Vec<usize> {
             None => 0,
         })
         .collect()
-}
-
-/// Run the product circuit. `my_v`: my v-inputs (plain values for the
-/// owner when `v_plain`, else my shares; empty on the non-owner side when
-/// `v_plain`). `my_z`: my z-shares. The `R_F` owner garbles.
-fn run_product(
-    sess: &mut Session,
-    i_am_garbler: bool,
-    n: usize,
-    v_plain: bool,
-    my_v: &[u64],
-    my_z: &[u64],
-) -> Vec<u64> {
-    let ell = sess.ring.bits() as usize;
-    let (circuit, spec) = product_circuit(n, ell, v_plain);
-    let mut bits = Vec::with_capacity(n * 2 * ell);
-    if i_am_garbler {
-        for &v in my_v {
-            bits.extend(u64_to_bits(v, ell));
-        }
-        for &z in my_z {
-            bits.extend(u64_to_bits(z, ell));
-        }
-        sess.garble_shared(&circuit, &spec, &bits)
-    } else {
-        if !v_plain {
-            for &v in my_v {
-                bits.extend(u64_to_bits(v, ell));
-            }
-        }
-        for &z in my_z {
-            bits.extend(u64_to_bits(z, ell));
-        }
-        sess.evaluate_shared(&circuit, &spec, &bits)
-    }
 }
 
 /// Oblivious reduce-join `R_F ⋈⊗ R_G` (see module docs). The real tuples
@@ -345,20 +376,25 @@ pub fn oblivious_reduce_join(
         sess.inline_circuits += 1;
     }
 
-    // Product circuit: new annotations [v ⊗ z]. The R_F owner garbles.
-    let v_plain = route.v_plain;
-    let my_v: Vec<u64> = if i_own_f {
-        if v_plain {
-            rf.plain_annots.clone().expect("plain on owner")
+    // Product: new annotations [v ⊗ z]. The R_F owner is the OT sender.
+    let out_shares = if i_own_f {
+        let my_v = if route.v_plain {
+            rf.plain_annots.as_ref().expect("plain on owner")
         } else {
-            rf.annot_shares.clone()
-        }
-    } else if v_plain {
-        Vec::new()
+            &rf.annot_shares
+        };
+        product_owner(
+            sess.ch,
+            sess.ring,
+            &mut sess.ot_send,
+            my_v,
+            &my_z,
+            route.v_plain,
+        )
     } else {
-        rf.annot_shares.clone()
+        let my_v = (!route.v_plain).then_some(rf.annot_shares.as_slice());
+        product_other(sess.ch, sess.ring, &mut sess.ot_recv, my_v, &my_z)
     };
-    let out_shares = run_product(sess, i_own_f, n, v_plain, &my_v, &my_z);
     SecureRelation {
         schema: rf.schema.clone(),
         owner: rf.owner,
@@ -448,6 +484,104 @@ mod tests {
         );
         let ring = RingCtx::new(32);
         ring.reconstruct_vec(&a_sh, &b_sh)
+    }
+
+    /// Run the product on `v ⊗ z` over `ring`, Alice owning `R_F` (the OT
+    /// sender). z is always shared; v is plain at Alice when `v_plain`,
+    /// else shared. With `bank > 0` both sides bank that many random OTs
+    /// first. Returns the reconstructed products, the online bytes, and
+    /// the OTs left in each party's bank.
+    fn run_product(
+        ring: RingCtx,
+        v: Vec<u64>,
+        z: Vec<u64>,
+        v_plain: bool,
+        bank: usize,
+    ) -> (Vec<u64>, u64, (usize, usize)) {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use secyan_transport::Phase;
+        let mut rng = StdRng::seed_from_u64(85);
+        let (za, zb) = ring.share_vec(&z, &mut rng);
+        let (va, vb) = if v_plain {
+            (v, Vec::new())
+        } else {
+            ring.share_vec(&v, &mut rng)
+        };
+        let ((a_sh, a_left), (b_sh, b_left), stats) = run_protocol(
+            move |ch| {
+                ch.set_phase(Phase::Offline);
+                let mut ot = OtSender::setup(ch, &mut StdRng::seed_from_u64(86), TweakHasher::Aes);
+                if bank > 0 {
+                    let b = ot.offline(ch, bank);
+                    ot.attach_bank(b);
+                }
+                ch.set_phase(Phase::Online);
+                let out = product_owner(ch, ring, &mut ot, &va, &za, v_plain);
+                (out, ot.bank_remaining())
+            },
+            move |ch| {
+                ch.set_phase(Phase::Offline);
+                let mut ot =
+                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(87), TweakHasher::Aes);
+                if bank > 0 {
+                    let b = ot.offline(ch, bank, &mut StdRng::seed_from_u64(88));
+                    ot.attach_bank(b);
+                }
+                ch.set_phase(Phase::Online);
+                let my_v = (!v_plain).then_some(vb.as_slice());
+                let out = product_other(ch, ring, &mut ot, my_v, &zb);
+                (out, ot.bank_remaining())
+            },
+        );
+        (
+            ring.reconstruct_vec(&a_sh, &b_sh),
+            stats.online_bytes,
+            (a_left, b_left),
+        )
+    }
+
+    #[test]
+    fn product_matches_plaintext_at_every_width() {
+        for ell in [1u32, 7, 32, 64] {
+            let ring = RingCtx::new(ell);
+            let top = 1u64 << (ell - 1);
+            // Factors ≥ 2^(ℓ−1): every shift of the top bit wraps out of
+            // the ring, and at ℓ = 64 out of the machine word.
+            let v: Vec<u64> = (0..9u64)
+                .map(|i| ring.reduce(top | i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+                .collect();
+            let z: Vec<u64> = (0..9u64)
+                .map(|i| ring.reduce(top | (i + 3).wrapping_mul(0xc2b2_ae3d_27d4_eb4f)))
+                .collect();
+            let want: Vec<u64> = v.iter().zip(&z).map(|(&a, &b)| ring.mul(a, b)).collect();
+            for v_plain in [true, false] {
+                let m = product_ots(v.len(), ell as usize, v_plain);
+                // Inline extension, an exact bank, and a bank shed below
+                // the draw, which both sides must skip together.
+                for (bank, left) in [(0, 0), (m, 0), (m - 1, m - 1)] {
+                    let (got, online, remaining) =
+                        run_product(ring, v.clone(), z.clone(), v_plain, bank);
+                    let case = format!("ℓ={ell} v_plain={v_plain} bank={bank}");
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(remaining, (left, left), "{case}");
+                    if bank == m {
+                        // Packed corrections, then one ⌈ℓ/8⌉-byte word per OT.
+                        let words = m * (ell as usize).div_ceil(8);
+                        assert_eq!(online, (m.div_ceil(8) + words) as u64, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_product_sends_nothing() {
+        for v_plain in [true, false] {
+            let (got, online, _) = run_product(RingCtx::new(32), vec![], vec![], v_plain, 0);
+            assert!(got.is_empty());
+            assert_eq!(online, 0, "v_plain={v_plain}");
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::agg::{merge_circuit, AggKind, AggRoute};
 use crate::join::reveal_circuit;
 use crate::query::SecureQuery;
-use crate::semijoin::{product_circuit, shared_attrs, JoinRoute};
+use crate::semijoin::{product_ots, shared_attrs, JoinRoute};
 use secyan_circuit::Circuit;
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
 use secyan_psi::{k_circuit, matching_circuit};
@@ -114,7 +114,7 @@ impl QueryShape {
                 garbler: pg.garbler,
             })
             .collect();
-        let ot_budget = ot_budget(sizes, &planned);
+        let ot_budget = ot_budget(sizes, &planned, plan.product_ots());
         QueryShape {
             key,
             planned,
@@ -143,9 +143,6 @@ pub enum GcSpec {
     Matching { bins: usize },
     /// Circuit-PSI k-index selection over `bins`, shared payloads (§5.5).
     KIndex { bins: usize },
-    /// Reduce-join product v ⊗ z over `n` rows, v in the clear when
-    /// `v_plain` (§6.5).
-    Product { n: usize, v_plain: bool },
     /// Reveal of `n` rows to the receiver: the values of a lone survivor
     /// (`values`), else one relation's nonzero support for the full join.
     Reveal {
@@ -163,7 +160,6 @@ impl GcSpec {
             GcSpec::Merge { n, kind } => merge_circuit(n, ell, kind).0,
             GcSpec::Matching { bins } => matching_circuit(bins, ell).0,
             GcSpec::KIndex { bins } => k_circuit(bins, ell),
-            GcSpec::Product { n, v_plain } => product_circuit(n, ell, v_plain).0,
             GcSpec::Reveal {
                 n,
                 attrs,
@@ -207,6 +203,9 @@ pub struct Step {
     /// full join's product tree is not listed: its size is the
     /// data-dependent join output size.
     pub circuits: Vec<PlannedGc>,
+    /// Correlated OTs the step's reduce-join product draws, the `R_F`
+    /// owner sending (n·ℓ per cross term); 0 for the other operators.
+    pub product_ots: usize,
 }
 
 /// The compiled secure Yannakakis plan: the ordered operator steps, a
@@ -253,7 +252,7 @@ impl Plan {
             match parent {
                 Some(p) if folds => {
                     steps.push(Node::project_agg(&mut nodes, i, f_prime, AggKind::Sum));
-                    steps.push(Node::join(&mut nodes, Op::ReduceJoin { f: p, g: i }));
+                    steps.push(Node::join(&mut nodes, Op::ReduceJoin { f: p, g: i }, ell));
                     removed[i] = true;
                 }
                 _ => {
@@ -278,11 +277,11 @@ impl Plan {
             let inner = |i: &usize| !removed[*i] && *i != tree.root();
             for i in tree.bottom_up().into_iter().filter(inner) {
                 let p = tree.parent(i).expect("non-root");
-                steps.push(Node::join(&mut nodes, Op::Semijoin { f: p, g: i }));
+                steps.push(Node::join(&mut nodes, Op::Semijoin { f: p, g: i }, ell));
             }
             for i in tree.top_down().into_iter().filter(inner) {
                 let p = tree.parent(i).expect("non-root");
-                steps.push(Node::join(&mut nodes, Op::Semijoin { f: i, g: p }));
+                steps.push(Node::join(&mut nodes, Op::Semijoin { f: i, g: p }, ell));
             }
         }
 
@@ -301,6 +300,7 @@ impl Plan {
         steps.push(Step {
             op: Op::Finish { order },
             circuits,
+            product_ots: 0,
         });
         Plan { ell, steps }
     }
@@ -308,6 +308,11 @@ impl Plan {
     /// Every planned circuit, in execution order.
     pub fn circuits(&self) -> impl Iterator<Item = &PlannedGc> {
         self.steps.iter().flat_map(|s| &s.circuits)
+    }
+
+    /// Correlated OTs the plan's reduce-join products draw.
+    pub fn product_ots(&self) -> usize {
+        self.steps.iter().map(|s| s.product_ots).sum()
     }
 
     /// KKRT OPRF instances the plan draws per direction: each circuit-PSI
@@ -356,12 +361,14 @@ impl Node {
         Step {
             op: Op::ProjectAgg { node, attrs, kind },
             circuits,
+            product_ots: 0,
         }
     }
 
     /// The join step `op`: `f ← f ⋈⊗ g`, or `f ← f ⋉⊗ g` (the support
-    /// projection of `g` on the shared attributes, then a reduce-join).
-    fn join(nodes: &mut [Node], op: Op) -> Step {
+    /// projection of `g` on the shared attributes, then a reduce-join),
+    /// over an `ell`-bit ring.
+    fn join(nodes: &mut [Node], op: Op, ell: usize) -> Step {
         let (Op::ReduceJoin { f, g } | Op::Semijoin { f, g }) = op else {
             unreachable!("not a join step: {op:?}")
         };
@@ -370,6 +377,7 @@ impl Node {
         let mut step = Step {
             op,
             circuits: Vec::new(),
+            product_ots: 0,
         };
         if semijoin {
             let attrs = shared_attrs(&rf.schema, &rg.schema);
@@ -382,23 +390,20 @@ impl Node {
                 garbler: rg.dims.owner,
             });
         }
-        let (n, v_plain) = (rf.dims.size, route.v_plain);
-        step.circuits.push(PlannedGc {
-            gc: GcSpec::Product { n, v_plain },
-            garbler: rf.dims.owner,
-        });
+        step.product_ots = product_ots(rf.dims.size, ell, route.v_plain);
         nodes[f].dims.is_plain = false;
         step
     }
 }
 
 /// The per-direction OT bank budget: evaluator input labels for every
-/// planned circuit, plus a generous allowance for the OEP switching
-/// networks and PSI machinery (≈ 2·w·⌈log₂ w⌉ + w OTs per oblivious
-/// switching network of width w, several networks per relation per
-/// phase). Over-provisioning only costs offline time; under-provisioning
-/// degrades to inline OT extension, symmetrically on both sides.
-fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit]) -> usize {
+/// planned circuit, the reduce-join products' correlated OTs, plus a
+/// generous allowance for the OEP switching networks and PSI machinery
+/// (≈ 2·w·⌈log₂ w⌉ + w OTs per oblivious switching network of width w,
+/// several networks per relation per phase). Over-provisioning only costs
+/// offline time; under-provisioning degrades to inline OT extension,
+/// symmetrically on both sides.
+fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit], products: usize) -> usize {
     let labels: usize = planned.iter().map(|pc| pc.circuit.bob_inputs).sum();
     let switches: usize = sizes
         .iter()
@@ -411,7 +416,7 @@ fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit]) -> usize {
             8 * (2 * w * lg + w)
         })
         .sum();
-    labels + switches + 1024
+    labels + products + switches + 1024
 }
 
 #[cfg(test)]
@@ -460,6 +465,34 @@ mod tests {
         assert!(!shape.planned.is_empty());
         assert_eq!(shape.planned.last().unwrap().garbler, Role::Bob);
         assert!(shape.ot_budget > 0);
+    }
+
+    /// The products' correlated OTs replace the garbled product circuits'
+    /// evaluator labels one for one (n·ℓ per cross term), so the OT banks
+    /// keep the sizes they had when the product was a circuit.
+    #[test]
+    fn ot_budget_is_pinned() {
+        let chain3 = SecureQuery::new(
+            vec![strings(&["a"]), strings(&["a", "b"]), strings(&["b"])],
+            vec![Role::Alice, Role::Bob, Role::Alice],
+            JoinTree::chain(3),
+            Vec::new(),
+        );
+        let shape = QueryShape::derive(&chain3, &[24, 48, 24], Role::Alice, 64);
+        assert_eq!(shape.ot_budget, 44_176);
+        // TPC-H Q3 at 0.3 MB: customer ⋈ orders ⋈ lineitem.
+        let q3 = SecureQuery::new(
+            vec![
+                strings(&["custkey"]),
+                strings(&["custkey", "orderkey", "o_orderdate", "o_shippriority"]),
+                strings(&["orderkey"]),
+            ],
+            vec![Role::Alice, Role::Bob, Role::Alice],
+            JoinTree::new(vec![Some(1), None, Some(1)]),
+            strings(&["orderkey", "o_orderdate", "o_shippriority"]),
+        );
+        let shape = QueryShape::derive(&q3, &[45, 450, 1752], Role::Alice, 32);
+        assert_eq!(shape.ot_budget, 1_083_232);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! [`OtReceiver::setup`] pair), any number of 1-out-of-2 OTs cost only
 //! symmetric-key work and one m-bit column message per base OT. The secure
 //! Yannakakis protocol consumes OTs in bulk: garbled-circuit evaluator
-//! inputs, every switch of the oblivious switching network, and the OPPRF
-//! all sit on top of this module.
+//! inputs, every switch of the oblivious switching network, the OPPRF and
+//! the reduce-join's Gilboa products all sit on top of this module.
 //!
 //! Semi-honest IKNP as in the original paper: the receiver's choice bits
 //! are an input (chosen-choice, random-message OT); chosen messages are
-//! layered on by one-time-pad masking.
+//! layered on by one-time-pad masking, and correlated OT on ring words
+//! ([`OtSender::send_correlated`]) by one masked word per instance.
 
 use rand::Rng;
 use secyan_crypto::transpose::BitMatrix;
@@ -322,6 +323,37 @@ impl OtSender {
         }
         ch.send(buf);
     }
+
+    /// Correlated OT on ℓ-bit ring words (ℓ ≤ 64): for each correlation
+    /// `deltas[j]`, the receiver with choice bit `c_j` learns
+    /// `s_j + c_j·Δ_j (mod 2^ℓ)` and this side keeps the random `s_j`, which
+    /// is returned. The pads are drawn like those of the chosen-message
+    /// calls (banked or inline), and the only message is one ⌈ℓ/8⌉-byte
+    /// word per OT: `y_j = s_j + Δ_j − x1_j`, with `s_j = x0_j`. An empty
+    /// batch is communication-free, as for [`OtSender::send_bytes`].
+    pub fn send_correlated(&mut self, ch: &mut Channel, deltas: &[u64], ell: usize) -> Vec<u64> {
+        if deltas.is_empty() {
+            return Vec::new();
+        }
+        let (mask, width) = ring_word(ell);
+        let pads = self.draw_pads(ch, deltas.len());
+        let mut ours = Vec::with_capacity(deltas.len());
+        ch.send_with(deltas.len() * width, |buf| {
+            for ((word, &(x0, x1)), &delta) in buf.chunks_exact_mut(width).zip(&pads).zip(deltas) {
+                let s = x0.0 as u64 & mask;
+                let y = s.wrapping_add(delta).wrapping_sub(x1.0 as u64) & mask;
+                word.copy_from_slice(&y.to_le_bytes()[..width]);
+                ours.push(s);
+            }
+        });
+        ours
+    }
+}
+
+/// The ring mask of Z_{2^ℓ} and the wire width of one of its words.
+fn ring_word(ell: usize) -> (u64, usize) {
+    assert!((1..=64).contains(&ell), "ring width must be in 1..=64");
+    (u64::MAX >> (64 - ell), ell.div_ceil(8))
 }
 
 impl OtReceiver {
@@ -466,7 +498,8 @@ impl OtReceiver {
     /// receiver-side OT corrections of a round into one super-frame before
     /// blocking on the sender's replies. Finish with
     /// [`OtReceiver::finish_recv_blocks`] / [`OtReceiver::finish_recv_bytes`]
-    /// in the same order relative to the peer's sends.
+    /// / [`OtReceiver::finish_recv_correlated`] in the same order relative
+    /// to the peer's sends.
     pub fn begin_recv(&mut self, ch: &mut Channel, choices: &[bool]) -> Vec<Block> {
         self.draw_pads(ch, choices)
     }
@@ -509,6 +542,35 @@ impl OtReceiver {
                 let m1 = &raw[(2 * j + 1) * len..(2 * j + 2) * len];
                 let picked = ct_select_bytes(CtChoice::from_bool(c), m1, m0);
                 mask_bytes(&picked, pads[j])
+            })
+            .collect()
+    }
+
+    /// Second half of [`OtReceiver::begin_recv`] for correlated OT on
+    /// ℓ-bit ring words (see [`OtSender::send_correlated`]): returns
+    /// `s_j + c_j·Δ_j (mod 2^ℓ)`. The sender's word is added under an
+    /// all-ones/all-zeros mask of the choice bit, so the arithmetic does
+    /// not branch on it.
+    pub fn finish_recv_correlated(
+        &mut self,
+        ch: &mut Channel,
+        pads: &[Block],
+        choices: &[bool],
+        ell: usize,
+    ) -> Vec<u64> {
+        if choices.is_empty() {
+            return Vec::new();
+        }
+        let (mask, width) = ring_word(ell);
+        let raw = ch.recv_bytes(choices.len() * width);
+        raw.chunks_exact(width)
+            .zip(pads)
+            .zip(choices)
+            .map(|((word, pad), &c)| {
+                let mut le = [0u8; 8];
+                le[..width].copy_from_slice(word);
+                let y = u64::from_le_bytes(le) & CtChoice::from_bool(c).mask_u64();
+                (pad.0 as u64).wrapping_add(y) & mask
             })
             .collect()
     }
@@ -625,6 +687,7 @@ mod tests {
                 let before = ch.stats().total_bytes();
                 s.send_bytes(ch, &[]);
                 s.send_blocks(ch, &[]);
+                assert!(s.send_correlated(ch, &[], 32).is_empty());
                 assert_eq!(ch.stats().total_bytes(), before, "empty batch sent bytes");
                 ch.send_u64(0xA11C);
                 ch.recv_u64()
@@ -634,6 +697,8 @@ mod tests {
                     OtReceiver::setup(ch, &mut StdRng::seed_from_u64(41), TweakHasher::Sha256);
                 assert!(r.recv_bytes(ch, &[], 16).is_empty());
                 assert!(r.recv_blocks(ch, &[]).is_empty());
+                let pads = r.begin_recv(ch, &[]);
+                assert!(r.finish_recv_correlated(ch, &pads, &[], 32).is_empty());
                 ch.send_u64(0xB0B);
                 ch.recv_u64()
             },
@@ -838,6 +903,68 @@ mod tests {
                 assert!(bank.choices.expose().iter().all(|&c| !c));
             },
         );
+    }
+
+    /// Run correlated OT on `deltas` at ring width `ell`, with both sides
+    /// banking `bank` random OTs first (none when 0). Returns the sender's
+    /// and receiver's words and the online bytes.
+    fn run_correlated(
+        deltas: Vec<u64>,
+        choices: Vec<bool>,
+        ell: usize,
+        bank: usize,
+    ) -> (Vec<u64>, Vec<u64>, u64) {
+        let (ours, theirs, stats) = run_protocol(
+            move |ch| {
+                ch.set_phase(Phase::Offline);
+                let mut s =
+                    OtSender::setup(ch, &mut StdRng::seed_from_u64(92), TweakHasher::Sha256);
+                if bank > 0 {
+                    let b = s.offline(ch, bank);
+                    s.attach_bank(b);
+                }
+                ch.set_phase(Phase::Online);
+                s.send_correlated(ch, &deltas, ell)
+            },
+            move |ch| {
+                ch.set_phase(Phase::Offline);
+                let mut r =
+                    OtReceiver::setup(ch, &mut StdRng::seed_from_u64(93), TweakHasher::Sha256);
+                if bank > 0 {
+                    let b = r.offline(ch, bank, &mut StdRng::seed_from_u64(94));
+                    r.attach_bank(b);
+                }
+                ch.set_phase(Phase::Online);
+                let pads = r.begin_recv(ch, &choices);
+                r.finish_recv_correlated(ch, &pads, &choices, ell)
+            },
+        );
+        (ours, theirs, stats.online_bytes)
+    }
+
+    #[test]
+    fn correlated_ot_delivers_shifted_word() {
+        for ell in [1usize, 7, 32, 64] {
+            let mask = u64::MAX >> (64 - ell);
+            let m = 40;
+            let deltas: Vec<u64> = (0..m as u64)
+                .map(|j| (j.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1 << (ell - 1)) & mask)
+                .collect();
+            let choices: Vec<bool> = (0..m).map(|j| j % 3 != 1).collect();
+            for bank in [0, m] {
+                let (ours, theirs, online) =
+                    run_correlated(deltas.clone(), choices.clone(), ell, bank);
+                for j in 0..m {
+                    assert_eq!(ours[j] & !mask, 0, "ℓ={ell} sender word out of ring");
+                    let want = ours[j].wrapping_add(deltas[j] * choices[j] as u64) & mask;
+                    assert_eq!(theirs[j], want, "ℓ={ell} bank={bank} instance {j}");
+                }
+                // One ⌈ℓ/8⌉-byte word per OT on top of the pad draw:
+                // packed corrections when banked, else the κ-column bundle.
+                let pads = if bank > 0 { 1 } else { KAPPA } * m.div_ceil(8);
+                assert_eq!(online, (pads + m * ell.div_ceil(8)) as u64, "ℓ={ell}");
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ const CHAIN3_ONLINE_SUPER_ROUND_BOUND: u64 = 16;
 /// decode). Going lower requires restructuring an operator, not better
 /// batching — so the golden pins the floor exactly.
 const CHAIN3_ONLINE_SUPER_ROUNDS: u64 = 16;
-const CHAIN3_OFFLINE_SUPER_ROUNDS: u64 = 11;
+const CHAIN3_OFFLINE_SUPER_ROUNDS: u64 = 9;
 
 #[test]
 fn chain3_online_super_rounds_golden() {
