@@ -14,7 +14,8 @@ use std::time::Instant;
 fn main() {
     // `--quick`: CI bench-smoke mode. Runs only the online phase-split
     // profile (1 rep, loopback, no BENCH file writes) and exits non-zero
-    // if the chain3 round counts regress past the recorded budgets.
+    // if the chain3 round counts regress past the recorded budgets or its
+    // online/offline bytes differ from the pinned counts.
     if std::env::args().any(|a| a == "--quick") {
         profile_online(true);
         return;
@@ -130,25 +131,14 @@ fn main() {
     println!("plain PSI 75x300: {:?}", t.elapsed());
 
     // 5. merge/agg circuit over 300 rows
-    use secyan_gc::{with_shared_outputs, SharedOutputSpec};
-    let spec = SharedOutputSpec::uniform(300, 32);
+    use secyan_core::agg::AggKind;
+    use secyan_core::shape::GcSpec;
     let t = Instant::now();
-    let _c = with_shared_outputs(&spec, |b| {
-        let eq: Vec<_> = (0..299).map(|_| b.alice_input()).collect();
-        let a: Vec<_> = (0..300).map(|_| b.alice_word(32)).collect();
-        let bb: Vec<_> = (0..300).map(|_| b.bob_word(32)).collect();
-        let vs: Vec<_> = a.iter().zip(&bb).map(|(x, y)| b.add_words(x, y)).collect();
-        let mut z = vs[0].clone();
-        let mut outs = Vec::new();
-        for i in 0..299 {
-            let ne = b.not(eq[i]);
-            outs.push(b.and_word_bit(&z, ne));
-            let keep = b.and_word_bit(&z, eq[i]);
-            z = b.add_words(&keep, &vs[i + 1]);
-        }
-        outs.push(z);
-        outs
-    });
+    let _c = GcSpec::Merge {
+        n: 300,
+        kind: AggKind::Sum,
+    }
+    .build(32);
     println!(
         "merge circuit build 300: {:?} ({} ANDs)",
         t.elapsed(),
@@ -535,6 +525,10 @@ fn profile_online(quick: bool) {
     // numbers. A regression past these fails the bench-smoke CI job.
     const ONLINE_SUPER_ROUND_BUDGET: u64 = 16;
     const OFFLINE_SUPER_ROUND_BUDGET: u64 = 9;
+    // The chain3 bytes, pinned exactly: like the rounds they depend only on
+    // the public shape, so an intentional change is a re-pin.
+    const ONLINE_BYTES: u64 = 869_112;
+    const OFFLINE_BYTES: u64 = 2_026_240;
     let reps = if quick { 1 } else { REPS };
     let ring = RingCtx::new(64);
     let hasher = TweakHasher::default();
@@ -666,11 +660,19 @@ fn profile_online(quick: bool) {
         );
         std::process::exit(1);
     }
+    if online_bytes != ONLINE_BYTES || offline_bytes != OFFLINE_BYTES {
+        eprintln!(
+            "byte-count change: online {online_bytes} B (pinned {ONLINE_BYTES}), \
+             offline {offline_bytes} B (pinned {OFFLINE_BYTES})"
+        );
+        std::process::exit(1);
+    }
     if quick {
         println!(
-            "bench-smoke: round budgets hold \
+            "bench-smoke: round budgets and byte pins hold \
              (online {online_super_rounds}/{ONLINE_SUPER_ROUND_BUDGET}, \
-             offline {offline_super_rounds}/{OFFLINE_SUPER_ROUND_BUDGET})"
+             offline {offline_super_rounds}/{OFFLINE_SUPER_ROUND_BUDGET}; \
+             {online_bytes} B online, {offline_bytes} B offline)"
         );
         return;
     }

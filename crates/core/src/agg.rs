@@ -14,8 +14,8 @@
 use crate::session::Session;
 use crate::shape::Dims;
 use crate::srel::SecureRelation;
-use secyan_circuit::{u64_to_bits, BitRef, Builder, Circuit, Word};
-use secyan_gc::{with_shared_outputs, SharedOutputSpec};
+use secyan_circuit::{u64_to_bits, BitRef, Circuit, Word};
+use secyan_gc::with_shared_outputs;
 use secyan_oep::{shared_oep_other, shared_oep_perm_holder};
 
 /// Which projection-aggregation to compute.
@@ -27,14 +27,24 @@ pub enum AggKind {
     Support,
 }
 
+impl AggKind {
+    /// Bits of one merge-circuit output word over an `ell`-bit ring: the
+    /// full sum, or the one bit of a support indicator.
+    pub(crate) fn out_bits(self, ell: usize) -> usize {
+        match self {
+            AggKind::Sum => ell,
+            AggKind::Support => 1,
+        }
+    }
+}
+
 /// The merge-gate chain circuit. Garbler = relation owner.
 ///
-/// Inputs (after the shared-output masks): garbler's N−1 equality bits and
-/// N share words, then the evaluator's N share words. Outputs: N shared
-/// words in sorted order, nonzero only at group ends.
-pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, SharedOutputSpec) {
-    let spec = SharedOutputSpec::uniform(n, ell);
-    let circuit = with_shared_outputs(&spec, |b| {
+/// Inputs: garbler's N−1 equality bits and N share words, then the
+/// evaluator's N share words. Outputs: N words of [`AggKind::out_bits`]
+/// bits in sorted order, nonzero only at group ends; they leave as shares.
+pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> Circuit {
+    with_shared_outputs(|b| {
         let eq_bits: Vec<BitRef> = (0..n.saturating_sub(1)).map(|_| b.alice_input()).collect();
         let a_shares: Vec<Word> = (0..n).map(|_| b.alice_word(ell)).collect();
         let b_shares: Vec<Word> = (0..n).map(|_| b.bob_word(ell)).collect();
@@ -63,23 +73,15 @@ pub(crate) fn merge_circuit(n: usize, ell: usize, kind: AggKind) -> (Circuit, Sh
                     let eq = eq_bits[i];
                     let neq = b.not(eq);
                     let emitted = b.and(acc, neq);
-                    outs.push(bit_to_word(b, emitted, ell));
+                    outs.push(Word(vec![emitted]));
                     let kept = b.and(acc, eq);
                     acc = b.or(kept, inds[i + 1]);
                 }
-                outs.push(bit_to_word(b, acc, ell));
+                outs.push(Word(vec![acc]));
             }
         }
         outs
-    });
-    (circuit, spec)
-}
-
-/// Embed a single bit as an ℓ-bit ring element (0 or 1).
-fn bit_to_word(b: &mut Builder, bit: BitRef, ell: usize) -> Word {
-    let mut bits = vec![b.constant(false); ell];
-    bits[0] = bit;
-    Word(bits)
+    })
 }
 
 /// The path π⊕/π¹ takes, a function of public data only. The operator and
@@ -164,7 +166,8 @@ type MergeOutput = (Option<(Vec<Vec<u64>>, Vec<bool>)>, Vec<u64>);
 fn merge(sess: &mut Session, rel: &SecureRelation, attrs: &[String], kind: AggKind) -> MergeOutput {
     let n = rel.size;
     let ell = sess.ring.bits() as usize;
-    let (circuit, spec) = merge_circuit(n, ell, kind);
+    let circuit = merge_circuit(n, ell, kind);
+    let bits = kind.out_bits(ell);
     if rel.is_mine(sess) {
         let pos = rel.positions(attrs);
         let tuples = rel.tuples.as_ref().expect("owner side");
@@ -193,7 +196,7 @@ fn merge(sess: &mut Session, rel: &SecureRelation, attrs: &[String], kind: AggKi
         for &s in &my_sorted {
             my_bits.extend(u64_to_bits(s, ell));
         }
-        let out_shares = sess.garble_shared(&circuit, &spec, &my_bits);
+        let out_shares = sess.garble_words(&circuit, bits, &my_bits);
         // Build the output rows: group-end rows are real, others dummy.
         let mut out_tuples = Vec::with_capacity(n);
         let mut out_dummy = Vec::with_capacity(n);
@@ -217,7 +220,7 @@ fn merge(sess: &mut Session, rel: &SecureRelation, attrs: &[String], kind: AggKi
         for &s in &my_sorted {
             my_bits.extend(u64_to_bits(s, ell));
         }
-        (None, sess.evaluate_shared(&circuit, &spec, &my_bits))
+        (None, sess.evaluate_words(&circuit, bits, &my_bits))
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::session::Session;
 use crate::srel::SecureRelation;
 use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
-use secyan_gc::{with_shared_outputs, OutputMode, SharedOutputSpec};
+use secyan_gc::{with_shared_outputs, OutputMode};
 use secyan_oep::{shared_oep_other, shared_oep_perm_holder};
 use secyan_transport::{Role, WriteExt};
 use std::collections::HashMap;
@@ -136,16 +136,12 @@ fn reveal_rows(
     Some(rows)
 }
 
-/// The k-way annotation product circuit over `out_size` rows. Garbler =
-/// non-receiver. When `reveal`, outputs go to the receiver in the clear;
-/// otherwise they leave as fresh shares.
-fn product_tree_circuit(
-    n: usize,
-    k: usize,
-    ell: usize,
-    reveal: bool,
-) -> (Circuit, Option<SharedOutputSpec>) {
-    let build = |b: &mut Builder| -> Vec<Word> {
+/// The k-way annotation product circuit over `n` rows, one ℓ-bit output
+/// word per row. Garbler = non-receiver. The caller reveals the outputs to
+/// the receiver or leaves them as fresh shares (§5.2); the circuit is the
+/// same either way.
+fn product_tree_circuit(n: usize, k: usize, ell: usize) -> Circuit {
+    with_shared_outputs(|b| {
         let ga: Vec<Vec<Word>> = (0..n)
             .map(|_| (0..k).map(|_| b.alice_word(ell)).collect())
             .collect();
@@ -165,18 +161,7 @@ fn product_tree_circuit(
                 acc.expect("k >= 1")
             })
             .collect()
-    };
-    if reveal {
-        let mut b = Builder::new();
-        let words = build(&mut b);
-        for w in &words {
-            b.output_word(w);
-        }
-        (b.finish(), None)
-    } else {
-        let spec = SharedOutputSpec::uniform(n, ell);
-        (with_shared_outputs(&spec, build), Some(spec))
-    }
+    })
 }
 
 /// The oblivious join. `rels` must be ordered so that each prefix is
@@ -320,7 +305,7 @@ pub fn oblivious_join(
         }
     }
     // Step 4: product circuit. Garbler = non-receiver.
-    let (circuit, spec) = product_tree_circuit(out_size, k, ell, reveal);
+    let circuit = product_tree_circuit(out_size, k, ell);
     let mut bits = Vec::new();
     for i in 0..out_size {
         for a in aligned.iter() {
@@ -337,14 +322,14 @@ pub fn oblivious_join(
                 .collect();
             (Vec::new(), values)
         } else {
-            let shares = sess.evaluate_shared(&circuit, &spec.expect("shared mode"), &bits);
+            let shares = sess.evaluate_words(&circuit, ell, &bits);
             (shares, Vec::new())
         }
     } else if reveal {
         sess.garble(&circuit, &bits, OutputMode::RevealToEvaluator);
         (Vec::new(), Vec::new())
     } else {
-        let shares = sess.garble_shared(&circuit, &spec.expect("shared mode"), &bits);
+        let shares = sess.garble_words(&circuit, ell, &bits);
         (shares, Vec::new())
     };
     JoinOutput {

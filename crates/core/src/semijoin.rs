@@ -30,7 +30,7 @@ use secyan_oep::{
     shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
     shared_oep_perm_holder_finish,
 };
-use secyan_ot::{OtReceiver, OtSender};
+use secyan_ot::{gilboa_bits, gilboa_shifts, OtReceiver, OtSender};
 use secyan_psi::{
     psi_params, psi_receiver_begin, psi_receiver_finish, psi_sender,
     shared_payload_psi_receiver_begin, shared_payload_psi_receiver_finish,
@@ -45,19 +45,6 @@ use std::collections::HashMap;
 /// owner's z-share) once it is shared.
 pub(crate) fn product_ots(n: usize, ell: usize, v_plain: bool) -> usize {
     n * ell * if v_plain { 1 } else { 2 }
-}
-
-/// The OT choice bits of a ring word, least significant first.
-fn choice_bits(x: u64, ell: usize) -> impl Iterator<Item = bool> {
-    // ct-ok: branchless bit extraction — `& 1 == 1` compiles to a mask
-    // test, as in `OtSender::setup`.
-    (0..ell).map(move |k| x >> k & 1 == 1)
-}
-
-/// The correlations 2^k·x (mod 2^ℓ), k < ℓ, that pair with the bits of
-/// the peer's factor: a shift by a public amount, no branch on `x`.
-fn shifts(ring: RingCtx, x: u64) -> impl Iterator<Item = u64> {
-    (0..ring.bits()).map(move |k| ring.reduce(x << k))
 }
 
 /// The `R_F` owner's side of the reduce-join product `[v ⊗ z]` (Gilboa
@@ -81,9 +68,9 @@ pub fn product_owner(
     let ell = ring.bits() as usize;
     let mut deltas = Vec::with_capacity(product_ots(z.len(), ell, v_plain));
     for (&vi, &zi) in v.iter().zip(z) {
-        deltas.extend(shifts(ring, vi));
+        deltas.extend(gilboa_shifts(vi, ell));
         if !v_plain {
-            deltas.extend(shifts(ring, zi));
+            deltas.extend(gilboa_shifts(zi, ell));
         }
     }
     let ours = ot.send_correlated(ch, &deltas, ell);
@@ -113,9 +100,9 @@ pub fn product_other(
     assert!(v_plain || v.len() == z.len(), "one v per z");
     let mut choices = Vec::with_capacity(product_ots(z.len(), ell, v_plain));
     for (i, &zi) in z.iter().enumerate() {
-        choices.extend(choice_bits(zi, ell));
+        choices.extend(gilboa_bits(zi, ell));
         if !v_plain {
-            choices.extend(choice_bits(v[i], ell));
+            choices.extend(gilboa_bits(v[i], ell));
         }
     }
     let pads = ot.begin_recv(ch, &choices);
@@ -150,7 +137,7 @@ impl JoinRoute {
             psi: (rf.owner != rg.owner).then_some(if rg.is_plain {
                 GcSpec::Matching { bins }
             } else {
-                GcSpec::KIndex { bins }
+                GcSpec::KIndex { bins, n: rg.size }
             }),
             v_plain: rf.is_plain,
         }

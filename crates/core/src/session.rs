@@ -5,9 +5,9 @@ use rand::{Rng, SeedableRng};
 use secyan_circuit::Circuit;
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
-    evaluate_circuit, evaluate_online, evaluate_shared, evaluate_shared_online, garble_circuit,
-    garble_online, garble_shared, garble_shared_online, take_eval, take_garble, EvalMaterial,
-    GarbleMaterial, OutputMode, SharedOutputSpec,
+    evaluate_begin, evaluate_circuit, evaluate_online, evaluate_shared_finish, fold_words,
+    garble_circuit, garble_online, garble_shared, garble_shared_online, take_eval, take_garble,
+    word_scalars, EvalMaterial, GarbleMaterial, OutputMode, SharedOutputSpec,
 };
 use secyan_ot::{KkrtReceiver, KkrtSender, OtReceiver, OtSender};
 use secyan_transport::{Channel, ProtocolError, ReadExt, Role};
@@ -201,63 +201,60 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Shared-output garbling through the offline plan (see
-    /// [`Session::garble`]).
-    pub fn garble_shared(
-        &mut self,
-        circuit: &Circuit,
-        spec: &SharedOutputSpec,
-        my_inputs: &[bool],
-    ) -> Vec<u64> {
-        match self.take_garble(circuit) {
+    /// Garble `circuit` whose outputs are words of `bits` bits each,
+    /// leaving every word as shares over the session ring (§5.2) through
+    /// the offline plan (see [`Session::garble`]). Returns this side's
+    /// share of each word.
+    pub fn garble_words(&mut self, circuit: &Circuit, bits: usize, my_inputs: &[bool]) -> Vec<u64> {
+        let n = circuit.outputs.len() / bits;
+        let spec = SharedOutputSpec::words(n, bits, self.ring.bits() as usize);
+        let scalars = word_scalars(n, bits);
+        let kept = match self.take_garble(circuit) {
             Some(material) => garble_shared_online(
                 self.ch,
                 circuit,
                 material,
-                spec,
+                &spec,
+                &scalars,
                 my_inputs,
                 &mut self.ot_send,
-                &mut self.rng,
             ),
             None => garble_shared(
                 self.ch,
                 circuit,
-                spec,
+                &spec,
+                &scalars,
                 my_inputs,
                 &mut self.ot_send,
                 self.hasher,
                 &mut self.rng,
             ),
-        }
+        };
+        fold_words(&kept, bits, spec.ell)
     }
 
-    /// Shared-output evaluation through the offline plan (see
-    /// [`Session::evaluate`]).
-    pub fn evaluate_shared(
+    /// Evaluator side of [`Session::garble_words`] (see
+    /// [`Session::evaluate`] for the queue).
+    pub fn evaluate_words(
         &mut self,
         circuit: &Circuit,
-        spec: &SharedOutputSpec,
+        bits: usize,
         my_inputs: &[bool],
     ) -> Vec<u64> {
-        match self.take_eval(circuit) {
-            Some(material) => evaluate_shared_online(
-                self.ch,
-                circuit,
-                material,
-                spec,
-                my_inputs,
-                &mut self.ot_recv,
-                self.hasher,
-            ),
-            None => evaluate_shared(
-                self.ch,
-                circuit,
-                spec,
-                my_inputs,
-                &mut self.ot_recv,
-                self.hasher,
-            ),
-        }
+        let n = circuit.outputs.len() / bits;
+        let spec = SharedOutputSpec::words(n, bits, self.ring.bits() as usize);
+        let material = self.take_eval(circuit);
+        let pending = evaluate_begin(self.ch, circuit, material, my_inputs, &mut self.ot_recv);
+        let (shares, _) = evaluate_shared_finish(
+            self.ch,
+            circuit,
+            pending,
+            &spec,
+            my_inputs,
+            &mut self.ot_recv,
+            self.hasher,
+        );
+        fold_words(&shares, bits, spec.ell)
     }
 }
 

@@ -27,7 +27,7 @@ use crate::query::SecureQuery;
 use crate::semijoin::{product_ots, shared_attrs, JoinRoute};
 use secyan_circuit::Circuit;
 use secyan_crypto::sha256::{digest_to_u64, Sha256};
-use secyan_psi::{k_circuit, matching_circuit};
+use secyan_psi::{k_circuit, matching_circuit, matching_ots};
 use secyan_transport::Role;
 
 /// Canonical 64-bit fingerprint of a query shape: join-tree topology,
@@ -114,7 +114,7 @@ impl QueryShape {
                 garbler: pg.garbler,
             })
             .collect();
-        let ot_budget = ot_budget(sizes, &planned, plan.product_ots());
+        let ot_budget = ot_budget(sizes, &planned, plan.correlated_ots());
         QueryShape {
             key,
             planned,
@@ -141,8 +141,9 @@ pub enum GcSpec {
     Merge { n: usize, kind: AggKind },
     /// Circuit-PSI matching over `bins` cuckoo bins, plain payloads (§6.5).
     Matching { bins: usize },
-    /// Circuit-PSI k-index selection over `bins`, shared payloads (§5.5).
-    KIndex { bins: usize },
+    /// Circuit-PSI k-index selection over `bins` for a sender set of size
+    /// `n`, shared payloads (§5.5).
+    KIndex { bins: usize, n: usize },
     /// Reveal of `n` rows to the receiver: the values of a lone survivor
     /// (`values`), else one relation's nonzero support for the full join.
     Reveal {
@@ -157,9 +158,9 @@ impl GcSpec {
     /// Build the circuit over an `ell`-bit annotation ring.
     pub fn build(self, ell: usize) -> Circuit {
         match self {
-            GcSpec::Merge { n, kind } => merge_circuit(n, ell, kind).0,
-            GcSpec::Matching { bins } => matching_circuit(bins, ell).0,
-            GcSpec::KIndex { bins } => k_circuit(bins, ell),
+            GcSpec::Merge { n, kind } => merge_circuit(n, ell, kind),
+            GcSpec::Matching { bins } => matching_circuit(bins),
+            GcSpec::KIndex { bins, n } => k_circuit(bins, n),
             GcSpec::Reveal {
                 n,
                 attrs,
@@ -203,9 +204,11 @@ pub struct Step {
     /// full join's product tree is not listed: its size is the
     /// data-dependent join output size.
     pub circuits: Vec<PlannedGc>,
-    /// Correlated OTs the step's reduce-join product draws, the `R_F`
-    /// owner sending (n·ℓ per cross term); 0 for the other operators.
-    pub product_ots: usize,
+    /// Correlated OTs the step draws: its reduce-join product's, the `R_F`
+    /// owner sending (n·ℓ per cross term), plus a matching circuit-PSI's
+    /// payload cross term, the PSI sender sending (ℓ per bin); 0 for the
+    /// other operators.
+    pub correlated_ots: usize,
 }
 
 /// The compiled secure Yannakakis plan: the ordered operator steps, a
@@ -300,7 +303,7 @@ impl Plan {
         steps.push(Step {
             op: Op::Finish { order },
             circuits,
-            product_ots: 0,
+            correlated_ots: 0,
         });
         Plan { ell, steps }
     }
@@ -310,9 +313,10 @@ impl Plan {
         self.steps.iter().flat_map(|s| &s.circuits)
     }
 
-    /// Correlated OTs the plan's reduce-join products draw.
-    pub fn product_ots(&self) -> usize {
-        self.steps.iter().map(|s| s.product_ots).sum()
+    /// Correlated OTs the plan's reduce-join products and matching
+    /// circuit-PSIs draw.
+    pub fn correlated_ots(&self) -> usize {
+        self.steps.iter().map(|s| s.correlated_ots).sum()
     }
 
     /// KKRT OPRF instances the plan draws per direction: each circuit-PSI
@@ -320,7 +324,7 @@ impl Plan {
     pub fn kkrt_instances(&self) -> usize {
         self.circuits()
             .map(|pg| match pg.gc {
-                GcSpec::Matching { bins } | GcSpec::KIndex { bins } => 2 * bins,
+                GcSpec::Matching { bins } | GcSpec::KIndex { bins, .. } => 2 * bins,
                 _ => 0,
             })
             .sum()
@@ -361,7 +365,7 @@ impl Node {
         Step {
             op: Op::ProjectAgg { node, attrs, kind },
             circuits,
-            product_ots: 0,
+            correlated_ots: 0,
         }
     }
 
@@ -377,7 +381,7 @@ impl Node {
         let mut step = Step {
             op,
             circuits: Vec::new(),
-            product_ots: 0,
+            correlated_ots: 0,
         };
         if semijoin {
             let attrs = shared_attrs(&rf.schema, &rg.schema);
@@ -390,20 +394,24 @@ impl Node {
                 garbler: rg.dims.owner,
             });
         }
-        step.product_ots = product_ots(rf.dims.size, ell, route.v_plain);
+        step.correlated_ots = product_ots(rf.dims.size, ell, route.v_plain);
+        if let Some(GcSpec::Matching { bins }) = route.psi {
+            step.correlated_ots += matching_ots(bins, ell);
+        }
         nodes[f].dims.is_plain = false;
         step
     }
 }
 
 /// The per-direction OT bank budget: evaluator input labels for every
-/// planned circuit, the reduce-join products' correlated OTs, plus a
+/// planned circuit, the correlated OTs of the reduce-join products and
+/// matching circuit-PSIs, plus a
 /// generous allowance for the OEP switching networks and PSI machinery
 /// (≈ 2·w·⌈log₂ w⌉ + w OTs per oblivious switching network of width w,
 /// several networks per relation per phase). Over-provisioning only costs
 /// offline time; under-provisioning degrades to inline OT extension,
 /// symmetrically on both sides.
-fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit], products: usize) -> usize {
+fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit], correlated: usize) -> usize {
     let labels: usize = planned.iter().map(|pc| pc.circuit.bob_inputs).sum();
     let switches: usize = sizes
         .iter()
@@ -416,7 +424,7 @@ fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit], products: usize) -> us
             8 * (2 * w * lg + w)
         })
         .sum();
-    labels + products + switches + 1024
+    labels + correlated + switches + 1024
 }
 
 #[cfg(test)]
@@ -467,9 +475,12 @@ mod tests {
         assert!(shape.ot_budget > 0);
     }
 
-    /// The products' correlated OTs replace the garbled product circuits'
-    /// evaluator labels one for one (n·ℓ per cross term), so the OT banks
-    /// keep the sizes they had when the product was a circuit.
+    /// The products' correlated OTs replaced the garbled product circuits'
+    /// evaluator labels one for one (n·ℓ per cross term). A matching
+    /// circuit-PSI takes 64 evaluator labels per bin (the equality test's
+    /// o_b; it was 128 with p_b) plus ℓ correlated OTs per bin for the
+    /// payload cross term; a k-index PSI takes 64 + t labels per bin, t =
+    /// ⌈log₂(n + bins)⌉ (it was 128).
     #[test]
     fn ot_budget_is_pinned() {
         let chain3 = SecureQuery::new(
@@ -479,7 +490,10 @@ mod tests {
             Vec::new(),
         );
         let shape = QueryShape::derive(&chain3, &[24, 48, 24], Role::Alice, 64);
-        assert_eq!(shape.ot_budget, 44_176);
+        // 44,176 before the label conversion: at ℓ = 64 a matching PSI's
+        // 64 labels + 64 OTs per bin equal its old 128 labels, and the one
+        // k-index PSI (31 bins, n = 48, t = 7) drops (128 − 71)·31 = 1,767.
+        assert_eq!(shape.ot_budget, 42_409);
         // TPC-H Q3 at 0.3 MB: customer ⋈ orders ⋈ lineitem.
         let q3 = SecureQuery::new(
             vec![
@@ -492,7 +506,24 @@ mod tests {
             strings(&["orderkey", "o_orderdate", "o_shippriority"]),
         );
         let shape = QueryShape::derive(&q3, &[45, 450, 1752], Role::Alice, 32);
-        assert_eq!(shape.ot_budget, 1_083_232);
+        // 1,083,232 before: two matching PSIs over 572 bins at ℓ = 32 drop
+        // (128 − 64 − 32)·572·2 = 36,608.
+        assert_eq!(shape.ot_budget, 1_046_624);
+    }
+
+    /// The matching circuit garbles only its per-bin 64-bit equality test:
+    /// 63 ANDs and 64 evaluator inputs per bin, whatever the ring width.
+    #[test]
+    fn matching_circuit_is_the_equality_test() {
+        for bins in [1usize, 31, 572] {
+            for ell in [1usize, 32, 64] {
+                let c = GcSpec::Matching { bins }.build(ell);
+                assert_eq!(c.and_count(), 63 * bins as u64);
+                assert_eq!(c.bob_inputs, 64 * bins);
+                assert_eq!(c.alice_inputs, 64 * bins);
+                assert_eq!(c.outputs.len(), bins);
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   evaluate tables. Property-tested against the plaintext evaluator.
 //! * [`protocol`] — the two-party wrapper: table + input-label transfer,
 //!   evaluator inputs via IKNP OT, and output decoding toward either or
-//!   both parties.
-//! * [`shares`] — Yao-to-arithmetic conversion (paper §5.2): circuits whose
-//!   word outputs are masked by garbler-chosen randomness so the cleartext
-//!   never materializes; the parties end with additive shares mod 2^ℓ.
+//!   both parties, or conversion to additive shares.
+//! * [`shares`] — Yao-to-arithmetic conversion (paper §5.2): converted
+//!   outputs leave through the evaluator's output labels, one word each,
+//!   so the cleartext never materializes; the parties end with additive
+//!   shares mod 2^ℓ.
 
 pub mod protocol;
 pub mod scheme;
@@ -23,11 +24,9 @@ pub mod shares;
 
 pub use protocol::{
     circuit_digest, evaluate_begin, evaluate_circuit, evaluate_finish, evaluate_offline,
-    evaluate_online, garble_circuit, garble_offline, garble_online, take_eval, take_garble,
-    EvalMaterial, EvalPending, GarbleMaterial, OutputMode,
+    evaluate_online, evaluate_shared_finish, garble_circuit, garble_offline, garble_online,
+    garble_shared, garble_shared_online, take_eval, take_garble, EvalMaterial, EvalPending,
+    GarbleMaterial, OutputMode,
 };
 pub use scheme::{EvalTables, Garbling};
-pub use shares::{
-    evaluate_shared, evaluate_shared_begin, evaluate_shared_finish, evaluate_shared_online,
-    garble_shared, garble_shared_online, with_shared_outputs, SharedInput, SharedOutputSpec,
-};
+pub use shares::{fold_words, with_shared_outputs, word_scalars, SharedOutputSpec};

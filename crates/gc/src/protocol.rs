@@ -14,6 +14,7 @@ use secyan_transport::{Channel, ReadExt, WriteExt};
 use std::collections::VecDeque;
 
 use crate::scheme::{eval, garble, EvalTables, Garbling};
+use crate::shares::{evaluator_convert, garbler_convert, SharedOutputSpec};
 
 /// Who learns the cleartext circuit outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +66,8 @@ pub fn circuit_digest(circuit: &Circuit) -> u64 {
 pub struct GarbleMaterial {
     garbling: Garbling,
     digest: u64,
+    /// The hash the circuit was garbled under; output conversions reuse it.
+    hasher: TweakHasher,
 }
 
 impl GarbleMaterial {
@@ -138,6 +141,7 @@ pub fn garble_offline<R: Rng + ?Sized>(
     GarbleMaterial {
         garbling: g,
         digest: circuit_digest(circuit),
+        hasher,
     }
 }
 
@@ -152,32 +156,12 @@ pub fn garble_online(
     ot: &mut OtSender,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
-    assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
-    assert_eq!(
-        material.digest,
-        circuit_digest(circuit),
-        "pre-garbled material is for a different circuit"
-    );
-    let g = material.garbling;
-    // Garbler input labels.
-    let my_labels: Vec<u128> = my_inputs
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| g.input_label(i, b).0)
-        .collect();
-    ch.send_u128_slice(&my_labels);
+    let g = garble_labels(ch, circuit, material, my_inputs);
     // Decode bits for the evaluator.
     if matches!(mode, OutputMode::RevealToEvaluator | OutputMode::RevealBoth) {
         ch.send_bool_slice(&g.decode_bits());
     }
-    // Evaluator input labels via OT.
-    let eval_pairs: Vec<(Block, Block)> = (0..circuit.bob_inputs)
-        .map(|j| {
-            let i = circuit.alice_inputs + j;
-            (g.input_label(i, false), g.input_label(i, true))
-        })
-        .collect();
-    ot.send_blocks(ch, &eval_pairs);
+    send_eval_labels(ch, circuit, &g, ot);
     // Output decoding toward the garbler.
     if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
         let colors = ch.recv_bool_vec(circuit.outputs.len());
@@ -186,6 +170,70 @@ pub fn garble_online(
     } else {
         None
     }
+}
+
+/// [`garble_online`] for a circuit whose `spec` outputs leave as additive
+/// shares ([`crate::shares`]); the other outputs are revealed to the
+/// evaluator. The conversion words follow the input labels, and decode
+/// bits go out for the revealed outputs only. `scalars[i]` is the
+/// garbler's scalar for conversion `i`. Returns the garbler's shares, one
+/// per conversion.
+pub fn garble_shared_online(
+    ch: &mut Channel,
+    circuit: &Circuit,
+    material: GarbleMaterial,
+    spec: &SharedOutputSpec,
+    scalars: &[u64],
+    my_inputs: &[bool],
+    ot: &mut OtSender,
+) -> Vec<u64> {
+    let hasher = material.hasher;
+    let g = garble_labels(ch, circuit, material, my_inputs);
+    let (kept, words) = garbler_convert(&g, hasher, spec, scalars);
+    ch.send_bytes(&words);
+    let decode: Vec<bool> = g
+        .decode_bits()
+        .into_iter()
+        .zip(spec.revealed(circuit.outputs.len()))
+        .filter_map(|(d, revealed)| revealed.then_some(d))
+        .collect();
+    ch.send_bool_slice(&decode);
+    send_eval_labels(ch, circuit, &g, ot);
+    kept
+}
+
+/// Check `material` against `circuit` and send the garbler's input labels.
+fn garble_labels(
+    ch: &mut Channel,
+    circuit: &Circuit,
+    material: GarbleMaterial,
+    my_inputs: &[bool],
+) -> Garbling {
+    assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
+    assert_eq!(
+        material.digest,
+        circuit_digest(circuit),
+        "pre-garbled material is for a different circuit"
+    );
+    let g = material.garbling;
+    let my_labels: Vec<u128> = my_inputs
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| g.input_label(i, b).0)
+        .collect();
+    ch.send_u128_slice(&my_labels);
+    g
+}
+
+/// The evaluator's input labels, through OT.
+fn send_eval_labels(ch: &mut Channel, circuit: &Circuit, g: &Garbling, ot: &mut OtSender) {
+    let eval_pairs: Vec<(Block, Block)> = (0..circuit.bob_inputs)
+        .map(|j| {
+            let i = circuit.alice_inputs + j;
+            (g.input_label(i, false), g.input_label(i, true))
+        })
+        .collect();
+    ot.send_blocks(ch, &eval_pairs);
 }
 
 /// Offline half of [`evaluate_circuit`]: receive the tables.
@@ -245,30 +293,89 @@ pub fn evaluate_finish(
     hasher: TweakHasher,
     mode: OutputMode,
 ) -> Option<Vec<bool>> {
-    let EvalPending { material, pads } = pending;
-    let tables = match material {
-        Some(m) => m.tables,
-        None => evaluate_offline(ch, circuit).tables,
-    };
-    let garbler_labels: Vec<Block> = ch
-        .recv_u128_vec(circuit.alice_inputs)
-        .into_iter()
-        .map(Block)
-        .collect();
+    let staged = recv_labels(ch, circuit, pending);
     let decode = if matches!(mode, OutputMode::RevealToEvaluator | OutputMode::RevealBoth) {
         Some(ch.recv_bool_vec(circuit.outputs.len()))
     } else {
         None
     };
-    let my_labels = ot.finish_recv_blocks(ch, &pads, my_inputs);
-    let mut labels = garbler_labels;
-    labels.extend(my_labels);
-    let out_labels = eval(circuit, &tables, &labels, hasher);
+    let out_labels = eval_labels(ch, circuit, staged, my_inputs, ot, hasher);
     let colors: Vec<bool> = out_labels.iter().map(|l| l.lsb()).collect();
     if matches!(mode, OutputMode::RevealToGarbler | OutputMode::RevealBoth) {
         ch.send_bool_slice(&colors);
     }
     decode.map(|d| colors.iter().zip(&d).map(|(&c, &dd)| c ^ dd).collect())
+}
+
+/// [`evaluate_finish`] for a circuit whose `spec` outputs leave as
+/// additive shares (the evaluator side of [`garble_shared_online`] and
+/// [`garble_shared`]; begin with [`evaluate_begin`]). Returns this side's
+/// shares, one per conversion, and the decoded values of the outputs left
+/// revealed, in output order.
+pub fn evaluate_shared_finish(
+    ch: &mut Channel,
+    circuit: &Circuit,
+    pending: EvalPending,
+    spec: &SharedOutputSpec,
+    my_inputs: &[bool],
+    ot: &mut OtReceiver,
+    hasher: TweakHasher,
+) -> (Vec<u64>, Vec<bool>) {
+    let staged = recv_labels(ch, circuit, pending);
+    let words = ch.recv_bytes(spec.wires.len() * spec.ring_word().1);
+    let revealed = spec.revealed(circuit.outputs.len());
+    let decode = ch.recv_bool_vec(revealed.iter().filter(|&&r| r).count());
+    let out_labels = eval_labels(ch, circuit, staged, my_inputs, ot, hasher);
+    let shares = evaluator_convert(&out_labels, hasher, spec, &words);
+    let values = out_labels
+        .iter()
+        .zip(&revealed)
+        .filter_map(|(l, &r)| r.then_some(l.lsb()))
+        .zip(&decode)
+        .map(|(c, &d)| c ^ d)
+        .collect();
+    (shares, values)
+}
+
+/// What the evaluator holds before its label OTs finish.
+struct Staged {
+    tables: EvalTables,
+    garbler_labels: Vec<Block>,
+    pads: Vec<Block>,
+}
+
+/// Receive the tables (when they travel inline) and the garbler's labels.
+fn recv_labels(ch: &mut Channel, circuit: &Circuit, pending: EvalPending) -> Staged {
+    let EvalPending { material, pads } = pending;
+    let tables = match material {
+        Some(m) => m.tables,
+        None => evaluate_offline(ch, circuit).tables,
+    };
+    let garbler_labels = ch
+        .recv_u128_vec(circuit.alice_inputs)
+        .into_iter()
+        .map(Block)
+        .collect();
+    Staged {
+        tables,
+        garbler_labels,
+        pads,
+    }
+}
+
+/// Finish the evaluator's label OTs and evaluate: one label per output.
+fn eval_labels(
+    ch: &mut Channel,
+    circuit: &Circuit,
+    staged: Staged,
+    my_inputs: &[bool],
+    ot: &mut OtReceiver,
+    hasher: TweakHasher,
+) -> Vec<Block> {
+    let my_labels = ot.finish_recv_blocks(ch, &staged.pads, my_inputs);
+    let mut labels = staged.garbler_labels;
+    labels.extend(my_labels);
+    eval(circuit, &staged.tables, &labels, hasher)
 }
 
 /// Online half of [`evaluate_circuit`], against material produced by
@@ -309,6 +416,23 @@ pub fn garble_circuit<R: Rng + ?Sized>(
     assert_eq!(my_inputs.len(), circuit.alice_inputs, "garbler input arity");
     let material = garble_offline(ch, circuit, hasher, rng);
     garble_online(ch, circuit, material, my_inputs, ot, mode)
+}
+
+/// Garbler side of a shared-output circuit, garbled inline:
+/// [`garble_offline`] then [`garble_shared_online`].
+#[allow(clippy::too_many_arguments)]
+pub fn garble_shared<R: Rng + ?Sized>(
+    ch: &mut Channel,
+    circuit: &Circuit,
+    spec: &SharedOutputSpec,
+    scalars: &[u64],
+    my_inputs: &[bool],
+    ot: &mut OtSender,
+    hasher: TweakHasher,
+    rng: &mut R,
+) -> Vec<u64> {
+    let material = garble_offline(ch, circuit, hasher, rng);
+    garble_shared_online(ch, circuit, material, spec, scalars, my_inputs, ot)
 }
 
 /// Evaluator side. `my_inputs` are the cleartext values of the circuit's

@@ -350,6 +350,25 @@ impl OtSender {
     }
 }
 
+/// The OT choice bits of a ring word for Gilboa multiplication, least
+/// significant first. Paired with the correlations [`gilboa_shifts`] of
+/// the other factor, ℓ correlated OTs leave the two parties with additive
+/// shares of the product: the sender keeps minus the sum of its words, the
+/// receiver the sum of the words it learns.
+pub fn gilboa_bits(x: u64, ell: usize) -> impl Iterator<Item = bool> {
+    // ct-ok: branchless bit extraction — `& 1 == 1` compiles to a mask
+    // test, as in `OtSender::setup`.
+    (0..ell).map(move |k| x >> k & 1 == 1)
+}
+
+/// The correlations 2^k·x (mod 2^ℓ), k < ℓ, that pair with the bits of the
+/// peer's factor ([`gilboa_bits`]): a shift by a public amount, no branch
+/// on `x`.
+pub fn gilboa_shifts(x: u64, ell: usize) -> impl Iterator<Item = u64> {
+    let (mask, _) = ring_word(ell);
+    (0..ell).map(move |k| (x << k) & mask)
+}
+
 /// The ring mask of Z_{2^ℓ} and the wire width of one of its words.
 fn ring_word(ell: usize) -> (u64, usize) {
     assert!((1..=64).contains(&ell), "ring width must be in 1..=64");

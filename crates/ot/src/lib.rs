@@ -19,5 +19,5 @@ pub mod base;
 pub mod iknp;
 pub mod kkrt;
 
-pub use iknp::{OtReceiver, OtRecvBank, OtSendBank, OtSender};
+pub use iknp::{gilboa_bits, gilboa_shifts, OtReceiver, OtRecvBank, OtSendBank, OtSender};
 pub use kkrt::{KkrtReceiver, KkrtRecvBank, KkrtSendBank, KkrtSender, KkrtSenderKey};

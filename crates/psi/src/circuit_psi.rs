@@ -11,17 +11,29 @@
 //! and nothing else — the intersection itself stays hidden, which is what
 //! lets the paper chain PSI into semijoins (§6.2).
 //!
+//! Only the equality test is garbled. The payload OPPRF hands the receiver
+//! p_b = payload − w_b on a match, for a uniform 64-bit sender mask w_b, so
+//! its output is uniform whether or not the bin matches; the shares use
+//! residues mod 2^ℓ. The matching circuit's one output per bin, the
+//! indicator, leaves through its output label twice: with scalar 1 as
+//! [ind] = (e₁, g₁), and with scalar w_b as [ind·w_b] = (e₂, g₂). Then
+//! ind·payload = ind·p_b + ind·w_b, where ind·p_b = e₁·p_b + g₁·p_b and the
+//! cross term g₁·p_b costs ℓ Gilboa correlated OTs (the receiver chooses
+//! with the bits of p_b).
+//!
 //! Sender elements must be distinct: the Yannakakis reduce phase guarantees
 //! this by aggregating before every semijoin.
 
 use rand::Rng;
-use secyan_circuit::{u64_to_bits, Circuit};
-use secyan_crypto::{RingCtx, TweakHasher};
+use secyan_circuit::{u64_to_bits, Builder, Circuit};
+use secyan_crypto::{Block, RingCtx, TweakHasher};
 use secyan_gc::{
-    evaluate_shared_begin, evaluate_shared_finish, garble_shared, garble_shared_online, take_eval,
-    take_garble, with_shared_outputs, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
+    evaluate_begin, evaluate_shared_finish, garble_shared, garble_shared_online, take_eval,
+    take_garble, EvalMaterial, EvalPending, GarbleMaterial, SharedOutputSpec,
 };
-use secyan_ot::{KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender};
+use secyan_ot::{
+    gilboa_bits, gilboa_shifts, KkrtReceiver, KkrtSender, KkrtSenderKey, OtReceiver, OtSender,
+};
 use secyan_transport::{Channel, ReadExt, WriteExt};
 use std::collections::{HashMap, VecDeque};
 
@@ -59,44 +71,31 @@ pub fn psi_params(receiver_size: usize, sender_size: usize) -> PsiParams {
     }
 }
 
-/// The per-bin matching circuit: shares of indicator and payload. Public
-/// so the offline plan can pre-garble it — its dimensions depend only
-/// on the public bin count and ring width.
-pub fn matching_circuit(bins: usize, ell: usize) -> (Circuit, SharedOutputSpec) {
-    let spec = SharedOutputSpec::uniform(2 * bins, ell);
-    let circuit = with_shared_outputs(&spec, |b| {
-        // Garbler (sender): s_b then w_b per bin; evaluator: o_b then p_b.
-        let sw: Vec<_> = (0..bins)
-            .map(|_| (b.alice_word(64), b.alice_word(64)))
-            .collect();
-        let op: Vec<_> = (0..bins)
-            .map(|_| (b.bob_word(64), b.bob_word(64)))
-            .collect();
-        let mut words = Vec::with_capacity(2 * bins);
-        for ((s, w), (o, p)) in sw.iter().zip(&op) {
-            let ind = b.eq_words(o, s);
-            let z64 = b.xor_words(p, w);
-            let z = b.resize_word(&z64, ell);
-            let val = b.and_word_bit(&z, ind);
-            let mut ind_bits = vec![b.constant(false); ell];
-            ind_bits[0] = ind;
-            words.push(secyan_circuit::Word(ind_bits));
-            words.push(val);
-        }
-        words
-    });
-    (circuit, spec)
+/// The per-bin matching circuit: the equality test o_b = s_b, whose output
+/// is the bin's indicator. Garbler (sender): s_b per bin; evaluator: o_b
+/// per bin — 63 ANDs and 64 + 64 inputs per bin. Public so the offline plan
+/// can pre-garble it: it depends only on the public bin count.
+pub fn matching_circuit(bins: usize) -> Circuit {
+    let mut b = Builder::new();
+    let s: Vec<_> = (0..bins).map(|_| b.alice_word(64)).collect();
+    let o: Vec<_> = (0..bins).map(|_| b.bob_word(64)).collect();
+    for (s, o) in s.iter().zip(&o) {
+        let ind = b.eq_words(o, s);
+        b.output(ind);
+    }
+    b.finish()
 }
 
-/// Split the interleaved `[ind, val, ind, val, ...]` share list.
-fn split_shares(shares: Vec<u64>) -> (Vec<u64>, Vec<u64>) {
-    let mut ind = Vec::with_capacity(shares.len() / 2);
-    let mut val = Vec::with_capacity(shares.len() / 2);
-    for pair in shares.chunks_exact(2) {
-        ind.push(pair[0]);
-        val.push(pair[1]);
-    }
-    (ind, val)
+/// Correlated OTs one matching circuit-PSI over `bins` bins draws, the PSI
+/// sender sending: ℓ per bin for the payload cross term g₁·p_b.
+pub fn matching_ots(bins: usize, ell: usize) -> usize {
+    bins * ell
+}
+
+/// The matching circuit's conversions over an ℓ-bit ring: each bin's
+/// indicator twice, with scalar 1 and then with the payload mask w_b.
+fn matching_spec(bins: usize, ell: usize) -> SharedOutputSpec {
+    SharedOutputSpec::new(ell, (0..bins).flat_map(|b| [b, b]).collect())
 }
 
 /// Agree on a cuckoo/simple-hash seed whose bin loads respect the public
@@ -176,9 +175,15 @@ pub(crate) fn negotiate_simple(
 pub struct PsiReceiverPending {
     cuckoo: CuckooTable,
     circuit: Circuit,
-    spec: SharedOutputSpec,
+    ring: RingCtx,
     my_bits: Vec<bool>,
     gc: EvalPending,
+    /// The payload OPPRF's output p_b per bin; its residue mod 2^ℓ is the
+    /// receiver's Gilboa factor.
+    payload: Vec<u64>,
+    /// The bits of `payload`, ℓ per bin, and their staged OT pads.
+    payload_bits: Vec<bool>,
+    pads: Vec<Block>,
 }
 
 impl PsiReceiverPending {
@@ -211,25 +216,30 @@ pub fn psi_receiver_begin(
     let o = opprf_evaluate_finish(ch, e1);
     let p = opprf_evaluate_finish(ch, e2);
     // The matching circuit: this party evaluates.
-    let (circuit, spec) = matching_circuit(params.bins, ring.bits() as usize);
-    let mut my_bits = Vec::with_capacity(params.bins * 128);
-    for b in 0..params.bins {
-        my_bits.extend(u64_to_bits(o[b], 64));
-        my_bits.extend(u64_to_bits(p[b], 64));
-    }
+    let circuit = matching_circuit(params.bins);
+    let my_bits: Vec<bool> = o.iter().flat_map(|&ob| u64_to_bits(ob, 64)).collect();
     let material = take_eval(gc_bank, &circuit);
-    let gc = evaluate_shared_begin(ch, &circuit, material, &my_bits, ot);
+    let gc = evaluate_begin(ch, &circuit, material, &my_bits, ot);
+    // The payload cross term: Gilboa OT choosing with the bits of p_b,
+    // staged beside the circuit's input-label corrections.
+    let ell = ring.bits() as usize;
+    let payload_bits: Vec<bool> = p.iter().flat_map(|&pb| gilboa_bits(pb, ell)).collect();
+    let pads = ot.begin_recv(ch, &payload_bits);
     PsiReceiverPending {
         cuckoo,
         circuit,
-        spec,
+        ring,
         my_bits,
         gc,
+        payload: p,
+        payload_bits,
+        pads,
     }
 }
 
 /// Second half of the circuit-PSI receiver: receive and evaluate the
-/// matching circuit. Receive-only.
+/// matching circuit, then the cross term's OT words. Receive-only. Payload
+/// share per bin: e₁·p_b + e₂ + the words received.
 pub fn psi_receiver_finish(
     ch: &mut Channel,
     pending: PsiReceiverPending,
@@ -239,12 +249,28 @@ pub fn psi_receiver_finish(
     let PsiReceiverPending {
         cuckoo,
         circuit,
-        spec,
+        ring,
         my_bits,
         gc,
+        payload,
+        payload_bits,
+        pads,
     } = pending;
-    let shares = evaluate_shared_finish(ch, &circuit, gc, &spec, &my_bits, ot, hasher);
-    let (ind_shares, payload_shares) = split_shares(shares);
+    let ell = ring.bits() as usize;
+    let spec = matching_spec(payload.len(), ell);
+    let (shares, _) = evaluate_shared_finish(ch, &circuit, gc, &spec, &my_bits, ot, hasher);
+    let cross = ot.finish_recv_correlated(ch, &pads, &payload_bits, ell);
+    let mut ind_shares = Vec::with_capacity(payload.len());
+    let mut payload_shares = Vec::with_capacity(payload.len());
+    for ((e, &pb), words) in shares
+        .chunks_exact(2)
+        .zip(&payload)
+        .zip(cross.chunks_exact(ell))
+    {
+        ind_shares.push(e[0]);
+        let local = ring.add(ring.mul(e[0], pb), e[1]);
+        payload_shares.push(words.iter().fold(local, |a, &x| ring.add(a, x)));
+    }
     PsiOutput {
         cuckoo: Some(cuckoo),
         ind_shares,
@@ -307,27 +333,44 @@ pub fn psi_sender<R: Rng + ?Sized>(
         .map(|(b, ys)| ys.iter().map(|&y| (y, s[b])).collect())
         .collect();
     opprf_program_with_key(ch, k1, &member_prog, params.degree, rng);
-    // Payload OPPRF: element y targets payload(y) ⊕ w_b.
+    // Payload OPPRF: element y targets payload(y) − w_b. The mask is a
+    // full 64-bit word, so the OPPRF output is uniform on a match as well
+    // as off one; only its residue mod 2^ℓ enters the share arithmetic.
     let w: Vec<u64> = (0..params.bins).map(|_| rng.gen()).collect();
     let payload_prog: Vec<Vec<(u64, u64)>> = simple
         .bins
         .iter()
         .enumerate()
-        .map(|(b, ys)| ys.iter().map(|&y| (y, payload_of[&y] ^ w[b])).collect())
+        .map(|(b, ys)| {
+            ys.iter()
+                .map(|&y| (y, payload_of[&y].wrapping_sub(w[b])))
+                .collect()
+        })
         .collect();
     opprf_program_with_key(ch, k2, &payload_prog, params.degree, rng);
-    // The matching circuit: this party garbles.
-    let (circuit, spec) = matching_circuit(params.bins, ring.bits() as usize);
-    let mut my_bits = Vec::with_capacity(params.bins * 128);
-    for b in 0..params.bins {
-        my_bits.extend(u64_to_bits(s[b], 64));
-        my_bits.extend(u64_to_bits(w[b], 64));
-    }
-    let shares = match take_garble(gc_bank, &circuit) {
-        Some(m) => garble_shared_online(ch, &circuit, m, &spec, &my_bits, ot, rng),
-        None => garble_shared(ch, &circuit, &spec, &my_bits, ot, hasher, rng),
+    // The matching circuit: this party garbles. The indicator converts with
+    // scalars 1 and w_b per bin.
+    let ell = ring.bits() as usize;
+    let circuit = matching_circuit(params.bins);
+    let spec = matching_spec(params.bins, ell);
+    let my_bits: Vec<bool> = s.iter().flat_map(|&sb| u64_to_bits(sb, 64)).collect();
+    let scalars: Vec<u64> = w.iter().flat_map(|&wb| [1, ring.reduce(wb)]).collect();
+    let kept = match take_garble(gc_bank, &circuit) {
+        Some(m) => garble_shared_online(ch, &circuit, m, &spec, &scalars, &my_bits, ot),
+        None => garble_shared(ch, &circuit, &spec, &scalars, &my_bits, ot, hasher, rng),
     };
-    let (ind_shares, payload_shares) = split_shares(shares);
+    // The cross term g₁·p_b: correlations 2^k·g₁ against the bits of p_b.
+    let deltas: Vec<u64> = kept
+        .chunks_exact(2)
+        .flat_map(|g| gilboa_shifts(g[0], ell))
+        .collect();
+    let ours = ot.send_correlated(ch, &deltas, ell);
+    let ind_shares = kept.chunks_exact(2).map(|g| g[0]).collect();
+    let payload_shares = kept
+        .chunks_exact(2)
+        .zip(ours.chunks_exact(ell))
+        .map(|(g, words)| ring.sub(g[1], words.iter().fold(0, |a, &x| ring.add(a, x))))
+        .collect();
     PsiOutput {
         cuckoo: None,
         ind_shares,
@@ -343,9 +386,16 @@ mod tests {
     use secyan_transport::run_protocol;
 
     fn run_psi(x: Vec<u64>, y: Vec<(u64, u64)>) -> (PsiOutput, PsiOutput, RingCtx) {
+        run_psi_in(RingCtx::new(32), x, y)
+    }
+
+    fn run_psi_in(
+        ring: RingCtx,
+        x: Vec<u64>,
+        y: Vec<(u64, u64)>,
+    ) -> (PsiOutput, PsiOutput, RingCtx) {
         // One hasher choice drives OT, OPRF, and garbling on both sides.
         let hasher = TweakHasher::default();
-        let ring = RingCtx::new(32);
         let x_len = x.len();
         let y_len = y.len();
         let (r, s, _) = run_protocol(
@@ -404,6 +454,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn payloads_wrap_at_the_top_bit() {
+        // payload − w_b and the cross term wrap mod 2^ℓ: payloads at and
+        // above 2^(ℓ−1), up to 2^ℓ − 1.
+        for ell in [1u32, 64] {
+            let ring = RingCtx::new(ell);
+            let top = 1u64 << (ell - 1);
+            let payloads = [ring.reduce(u64::MAX), top, ring.reduce(top | 7)];
+            let y: Vec<(u64, u64)> = [2u64, 4, 6].into_iter().zip(payloads).collect();
+            let (r, s, ring) = run_psi_in(ring, vec![1, 2, 3, 4, 5, 6], y.clone());
+            let cuckoo = r.cuckoo.as_ref().unwrap();
+            let ind = ring.reconstruct_vec(&r.ind_shares, &s.ind_shares);
+            let val = ring.reconstruct_vec(&r.payload_shares, &s.payload_shares);
+            for (b, slot) in cuckoo.bins.iter().enumerate() {
+                let hit = y.iter().find(|&&(e, _)| Some(e) == *slot);
+                assert_eq!(ind[b], u64::from(hit.is_some()), "ℓ={ell} bin {b}");
+                assert_eq!(val[b], hit.map_or(0, |&(_, v)| v), "ℓ={ell} bin {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn payload_opprf_output_is_full_width() {
+        // The receiver's payload OPPRF output must look uniform in matched
+        // bins too: a mask reduced mod 2^ℓ would leave its high bits zero
+        // exactly where the bin matches.
+        let hasher = TweakHasher::default();
+        let ring = RingCtx::new(32);
+        let x: Vec<u64> = (1..=8).collect();
+        let y: Vec<(u64, u64)> = x.iter().map(|&e| (e, e)).collect();
+        let (high, _, _) = run_protocol(
+            move |ch| {
+                let mut rng = StdRng::seed_from_u64(21);
+                let mut kkrt = KkrtReceiver::setup(ch, &mut rng, hasher);
+                let mut ot = OtReceiver::setup(ch, &mut rng, hasher);
+                let mut bank = VecDeque::new();
+                let pending = psi_receiver_begin(ch, &x, 8, ring, &mut kkrt, &mut ot, &mut bank);
+                let high = pending.payload.iter().filter(|&&p| p >> 32 != 0).count();
+                psi_receiver_finish(ch, pending, &mut ot, hasher);
+                high
+            },
+            move |ch| {
+                let mut rng = StdRng::seed_from_u64(22);
+                let mut kkrt = KkrtSender::setup(ch, &mut rng, hasher);
+                let mut ot = OtSender::setup(ch, &mut rng, hasher);
+                let mut bank = VecDeque::new();
+                psi_sender(
+                    ch, &y, 8, ring, &mut kkrt, &mut ot, hasher, &mut rng, &mut bank,
+                );
+            },
+        );
+        // All 11 bins (8 matched), each high half zero with prob. 2^-32.
+        assert_eq!(high, bin_count(8));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   oblivious.
 //! * [`opprf`] — oblivious *programmable* PRF: KKRT OPRF plus per-bin
 //!   polynomial hints over GF(2^64).
-//! * [`circuit_psi`] — the §5.3 protocol: membership + payload OPPRFs and
-//!   one garbled circuit turning OPPRF outputs into shares of indicator and
-//!   payload.
+//! * [`circuit_psi`] — the §5.3 protocol: membership + payload OPPRFs, one
+//!   garbled equality test per bin whose indicator leaves as shares, and a
+//!   Gilboa correlated-OT product for the payload.
 //! * [`shared_payload`] — the §5.5 protocol for payloads that are
 //!   themselves secret-shared, built from two OEPs and a k-index-revealing
 //!   garbled circuit, exactly as the paper constructs it.
@@ -27,8 +27,8 @@ pub mod opprf;
 pub mod shared_payload;
 
 pub use circuit_psi::{
-    matching_circuit, psi_params, psi_receiver, psi_receiver_begin, psi_receiver_finish,
-    psi_sender, PsiOutput, PsiParams, PsiReceiverPending,
+    matching_circuit, matching_ots, psi_params, psi_receiver, psi_receiver_begin,
+    psi_receiver_finish, psi_sender, PsiOutput, PsiParams, PsiReceiverPending,
 };
 pub use hashing::{bin_count, max_bin_size, CuckooTable, SimpleTable};
 pub use opprf::{

@@ -12,7 +12,7 @@
 //! 4. a garbled circuit reveals, per bin b, k_b = ξ₁⁻¹(j) on a match and
 //!    k_b = ξ₁⁻¹(N+b) otherwise — a uniformly random set of distinct
 //!    indices either way, so the receiver learns nothing — plus shares of
-//!    the indicator;
+//!    the indicator, which leaves through its output label (§5.2);
 //! 5. the receiver uses ξ₂(b) = k_b in a second **shared OEP**, landing the
 //!    parties on fresh shares of the matched payload (or of the zero
 //!    padding).
@@ -22,8 +22,8 @@ use rand::Rng;
 use secyan_circuit::{bits_to_u64, u64_to_bits, Builder, Circuit, Word};
 use secyan_crypto::{RingCtx, TweakHasher};
 use secyan_gc::{
-    evaluate_circuit, evaluate_online, garble_circuit, garble_online, take_eval, take_garble,
-    EvalMaterial, GarbleMaterial, OutputMode,
+    evaluate_begin, evaluate_shared_finish, garble_shared, garble_shared_online, take_eval,
+    take_garble, EvalMaterial, GarbleMaterial, SharedOutputSpec,
 };
 use secyan_oep::{
     shared_oep_other, shared_oep_perm_holder, shared_oep_perm_holder_begin,
@@ -37,38 +37,45 @@ use crate::circuit_psi::{negotiate_cuckoo, negotiate_simple, psi_params, PsiOutp
 use crate::hashing::CuckooTable;
 use crate::opprf::{opprf_evaluate_finish, opprf_program_with_key};
 
-/// The k-index circuit: per bin, shares of the indicator plus the routing
-/// index k_b in the clear (toward the evaluator = PSI receiver). Public so
-/// the offline plan can pre-garble it from the public bin count.
-pub fn k_circuit(bins: usize, ell: usize) -> Circuit {
+/// Bits t = ⌈log₂(n + bins)⌉ of a k-index routing index (at least 1): the
+/// indices range over the `n + bins` slots of the extended payload vector.
+pub fn index_bits(n: usize, bins: usize) -> usize {
+    let slots = n + bins;
+    (usize::BITS - slots.saturating_sub(1).leading_zeros()).max(1) as usize
+}
+
+/// The k-index circuit over `bins` bins for a sender set of size `n`: per
+/// bin the indicator o_b = s_b, which leaves as shares ([`k_spec`]), and the
+/// t-bit routing index k_b = ind ? p_b ⊕ w_b : d_b in the clear toward the
+/// evaluator (= PSI receiver), t = [`index_bits`]. Public so the offline
+/// plan can pre-garble it from the public sizes.
+pub fn k_circuit(bins: usize, n: usize) -> Circuit {
+    let t = index_bits(n, bins);
     let mut b = Builder::new();
-    // Garbler (= PSI sender): per-bin indicator masks, then s, w, d.
-    let masks: Vec<Word> = (0..bins).map(|_| b.alice_word(ell)).collect();
+    // Garbler (= PSI sender): per bin s, w, d.
     let swd: Vec<(Word, Word, Word)> = (0..bins)
-        .map(|_| (b.alice_word(64), b.alice_word(64), b.alice_word(64)))
+        .map(|_| (b.alice_word(64), b.alice_word(t), b.alice_word(t)))
         .collect();
-    // Evaluator (= PSI receiver): per-bin o, p.
-    let op: Vec<(Word, Word)> = (0..bins)
-        .map(|_| (b.bob_word(64), b.bob_word(64)))
-        .collect();
-    let mut masked_inds = Vec::with_capacity(bins);
+    // Evaluator (= PSI receiver): per bin o, p.
+    let op: Vec<(Word, Word)> = (0..bins).map(|_| (b.bob_word(64), b.bob_word(t))).collect();
     let mut ks = Vec::with_capacity(bins);
-    for (((s, w, d), (o, p)), mask) in swd.iter().zip(&op).zip(&masks) {
+    for ((s, w, d), (o, p)) in swd.iter().zip(&op) {
         let ind = b.eq_words(o, s);
-        let mut ind_bits = vec![b.constant(false); ell];
-        ind_bits[0] = ind;
-        let ind_word = Word(ind_bits);
-        masked_inds.push(b.add_words(&ind_word, mask));
+        b.output(ind);
         let unmasked = b.xor_words(p, w);
         ks.push(b.mux_words(ind, &unmasked, d));
-    }
-    for m in &masked_inds {
-        b.output_word(m);
     }
     for k in &ks {
         b.output_word(k);
     }
     b.finish()
+}
+
+/// The k-index circuit's conversions over an ℓ-bit ring: each bin's
+/// indicator (outputs `0..bins`) once, with scalar 1; the indices stay
+/// revealed.
+fn k_spec(bins: usize, ell: usize) -> SharedOutputSpec {
+    SharedOutputSpec::new(ell, (0..bins).collect())
 }
 
 /// Receiver-side in-flight state between [`shared_payload_psi_receiver_begin`]
@@ -121,39 +128,21 @@ pub fn shared_payload_psi_receiver_begin<R: Rng + ?Sized>(
     let o = opprf_evaluate_finish(ch, e1);
     let p = opprf_evaluate_finish(ch, e2);
     // Step 4: evaluate the k circuit.
-    let circuit = k_circuit(bins, ring.bits() as usize);
-    let mut my_bits = Vec::with_capacity(bins * 128);
+    let circuit = k_circuit(bins, n);
+    let t = index_bits(n, bins);
+    let mut my_bits = Vec::with_capacity(bins * (64 + t));
     for b in 0..bins {
         my_bits.extend(u64_to_bits(o[b], 64));
-        my_bits.extend(u64_to_bits(p[b], 64));
+        my_bits.extend(u64_to_bits(p[b], t));
     }
-    let out_bits = match take_eval(gc_bank, &circuit) {
-        Some(m) => evaluate_online(
-            ch,
-            &circuit,
-            m,
-            &my_bits,
-            ot_recv,
-            hasher,
-            OutputMode::RevealToEvaluator,
-        ),
-        None => evaluate_circuit(
-            ch,
-            &circuit,
-            &my_bits,
-            ot_recv,
-            hasher,
-            OutputMode::RevealToEvaluator,
-        ),
-    }
-    .expect("k circuit reveals to evaluator");
-    let ell = ring.bits() as usize;
-    let ind_shares: Vec<u64> = (0..bins)
-        .map(|b| bits_to_u64(&out_bits[b * ell..(b + 1) * ell]))
-        .collect();
-    let k_base = bins * ell;
-    let ks: Vec<usize> = (0..bins)
-        .map(|b| bits_to_u64(&out_bits[k_base + b * 64..k_base + (b + 1) * 64]) as usize)
+    let spec = k_spec(bins, ring.bits() as usize);
+    let material = take_eval(gc_bank, &circuit);
+    let gc = evaluate_begin(ch, &circuit, material, &my_bits, ot_recv);
+    let (ind_shares, k_bits) =
+        evaluate_shared_finish(ch, &circuit, gc, &spec, &my_bits, ot_recv, hasher);
+    let ks: Vec<usize> = k_bits
+        .chunks_exact(t)
+        .map(|k| bits_to_u64(k) as usize)
         .collect();
     for &k in &ks {
         assert!(k < n + bins, "k index out of range: corrupted transcript");
@@ -267,6 +256,8 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
         .map(|(b, ys)| ys.iter().map(|&y| (y, s[b])).collect())
         .collect();
     opprf_program_with_key(ch, k1, &member_prog, params.degree, rng);
+    // A full 64-bit mask keeps the OPPRF output uniform on a match too;
+    // the circuit uses its low t bits.
     let w: Vec<u64> = (0..bins).map(|_| rng.gen()).collect();
     let index_prog: Vec<Vec<(u64, u64)>> = simple
         .bins
@@ -279,40 +270,23 @@ pub fn shared_payload_psi_sender<R: Rng + ?Sized>(
         })
         .collect();
     opprf_program_with_key(ch, k2, &index_prog, params.degree, rng);
-    // Step 4: garble the k circuit; collect the indicator-mask shares.
-    let circuit = k_circuit(bins, ring.bits() as usize);
-    let mut ind_shares = Vec::with_capacity(bins);
-    let mut my_bits = Vec::new();
-    let mut swd_bits = Vec::new();
+    // Step 4: garble the k circuit; the indicator converts with scalar 1.
+    let t = index_bits(n, bins);
+    let circuit = k_circuit(bins, n);
+    let spec = k_spec(bins, ring.bits() as usize);
+    let mut my_bits = Vec::with_capacity(bins * (64 + 2 * t));
     for b in 0..bins {
-        let r = ring.random(rng);
-        ind_shares.push(ring.neg(r));
-        my_bits.extend(u64_to_bits(r, ring.bits() as usize));
-        swd_bits.extend(u64_to_bits(s[b], 64));
-        swd_bits.extend(u64_to_bits(w[b], 64));
-        swd_bits.extend(u64_to_bits(xi1_inv[n + b] as u64, 64));
+        my_bits.extend(u64_to_bits(s[b], 64));
+        my_bits.extend(u64_to_bits(w[b], t));
+        my_bits.extend(u64_to_bits(xi1_inv[n + b] as u64, t));
     }
-    my_bits.extend(swd_bits);
-    let out = match take_garble(gc_bank, &circuit) {
-        Some(m) => garble_online(
-            ch,
-            &circuit,
-            m,
-            &my_bits,
-            ot_send,
-            OutputMode::RevealToEvaluator,
-        ),
-        None => garble_circuit(
-            ch,
-            &circuit,
-            &my_bits,
-            ot_send,
-            hasher,
-            rng,
-            OutputMode::RevealToEvaluator,
+    let scalars = vec![1; bins];
+    let ind_shares = match take_garble(gc_bank, &circuit) {
+        Some(m) => garble_shared_online(ch, &circuit, m, &spec, &scalars, &my_bits, ot_send),
+        None => garble_shared(
+            ch, &circuit, &spec, &scalars, &my_bits, ot_send, hasher, rng,
         ),
     };
-    debug_assert!(out.is_none());
     // Step 5: second shared OEP (receiver holds ξ₂).
     let payload_shares = shared_oep_other(ch, &zprime_shares, bins, ring, ot_send, rng);
     PsiOutput {
@@ -404,6 +378,74 @@ mod tests {
                     assert_eq!(val[b], 0, "bin {b}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn k_index_at_the_index_width_edge() {
+        // 6 receiver elements → 8 bins; a sender set of 24 puts n + B at
+        // 2^5 (t = 5), of 25 at 2^5 + 1 (t = 6).
+        let x: Vec<u64> = (1..=6).collect();
+        for (n, t) in [(24usize, 5usize), (25, 6)] {
+            assert_eq!(psi_params(x.len(), n).bins, 8);
+            assert_eq!(index_bits(n, 8), t);
+            let y: Vec<u64> = (3..3 + n as u64).collect();
+            let payloads: Vec<u64> = y.iter().map(|&e| 1000 + e).collect();
+            let (r, s, ring) = run(x.clone(), y, payloads);
+            let cuckoo = r.cuckoo.as_ref().unwrap();
+            let ind = ring.reconstruct_vec(&r.ind_shares, &s.ind_shares);
+            let val = ring.reconstruct_vec(&r.payload_shares, &s.payload_shares);
+            for (b, slot) in cuckoo.bins.iter().enumerate() {
+                let hit = slot.filter(|&e| e >= 3);
+                assert_eq!(ind[b], u64::from(hit.is_some()), "n={n} bin {b}");
+                assert_eq!(val[b], hit.map_or(0, |e| 1000 + e), "n={n} bin {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn k_circuit_carries_the_top_index() {
+        // The largest index, n + B − 1, must survive the t-bit mux both as
+        // the matched index p ⊕ w (bin 0) and as the decoy d (bin 1).
+        for (n, bins) in [(24usize, 8usize), (25, 8), (0, 1)] {
+            let t = index_bits(n, bins);
+            let top = (n + bins - 1) as u64;
+            let c = k_circuit(bins, n);
+            assert_eq!(c.and_count(), ((63 + t) * bins) as u64);
+            let (w, d) = (0b1, top);
+            let mut a_bits = Vec::new();
+            let mut b_bits = Vec::new();
+            for b in 0..bins {
+                a_bits.extend(u64_to_bits(77, 64));
+                a_bits.extend(u64_to_bits(w, t));
+                a_bits.extend(u64_to_bits(d, t));
+                b_bits.extend(u64_to_bits(if b == 0 { 77 } else { 78 }, 64));
+                b_bits.extend(u64_to_bits(top ^ w, t));
+            }
+            let hasher = TweakHasher::default();
+            let ring = RingCtx::new(64);
+            let (ca, cb) = (c.clone(), c.clone());
+            let (g, (e, k_bits), _) = run_protocol(
+                move |ch| {
+                    let mut rng = StdRng::seed_from_u64(5);
+                    let mut ot = OtSender::setup(ch, &mut rng, hasher);
+                    let spec = k_spec(bins, 64);
+                    let ones = vec![1; bins];
+                    garble_shared(ch, &ca, &spec, &ones, &a_bits, &mut ot, hasher, &mut rng)
+                },
+                move |ch| {
+                    let mut rng = StdRng::seed_from_u64(6);
+                    let mut ot = OtReceiver::setup(ch, &mut rng, hasher);
+                    let pending = evaluate_begin(ch, &cb, None, &b_bits, &mut ot);
+                    let spec = k_spec(bins, 64);
+                    evaluate_shared_finish(ch, &cb, pending, &spec, &b_bits, &mut ot, hasher)
+                },
+            );
+            let ks: Vec<u64> = k_bits.chunks_exact(t).map(bits_to_u64).collect();
+            assert!(ks.iter().all(|&k| k == top), "n={n} bins={bins}: {ks:?}");
+            let ind = ring.reconstruct_vec(&e, &g);
+            assert_eq!(ind[0], 1);
+            assert!(ind[1..].iter().all(|&i| i == 0));
         }
     }
 

@@ -27,7 +27,7 @@
 
 pub mod spec;
 
-pub use spec::{QuerySpec, RunMode, SessionRequest};
+pub use spec::{QuerySpec, RunMode, SessionRequest, MAX_RUNS};
 
 use secyan_core::{
     run_offline, run_online, run_online_pooled, secure_yannakakis, PreprocPool, Session, ShapeKey,

@@ -69,9 +69,14 @@ impl RunMode {
 pub struct SessionRequest {
     pub spec: QuerySpec,
     pub mode: RunMode,
-    /// Number of query executions in this session (≥ 1).
+    /// Number of query executions in this session, 1..=[`MAX_RUNS`].
     pub runs: u32,
 }
+
+/// Most query executions one session may request. `Pooled` mode
+/// provisions every run's material up front, so the count is bounded
+/// before the server allocates for it.
+pub const MAX_RUNS: u32 = 64;
 
 /// Encoded size of a [`SessionRequest`]: family u8 | seed u64 LE |
 /// mode u8 | runs u32 LE.
@@ -89,7 +94,8 @@ impl SessionRequest {
     }
 
     /// Parse a hello payload. `None` on any deviation from the fixed
-    /// layout: wrong length, unknown family or mode tag, zero runs.
+    /// layout: wrong length, unknown family or mode tag, zero runs or more
+    /// than [`MAX_RUNS`].
     pub fn decode(payload: &[u8]) -> Option<SessionRequest> {
         if payload.len() != REQUEST_LEN {
             return None;
@@ -107,7 +113,7 @@ impl SessionRequest {
             _ => return None,
         };
         let runs = u32::from_le_bytes(payload[10..14].try_into().ok()?);
-        if runs == 0 {
+        if runs == 0 || runs > MAX_RUNS {
             return None;
         }
         Some(SessionRequest { spec, mode, runs })
@@ -164,5 +170,17 @@ mod tests {
         let mut zero_runs = good.clone();
         zero_runs[10..14].copy_from_slice(&0u32.to_le_bytes());
         assert!(SessionRequest::decode(&zero_runs).is_none());
+        let mut max_runs = good.clone();
+        max_runs[10..14].copy_from_slice(&MAX_RUNS.to_le_bytes());
+        assert_eq!(
+            SessionRequest::decode(&max_runs).map(|r| r.runs),
+            Some(MAX_RUNS)
+        );
+        let mut too_many_runs = good.clone();
+        too_many_runs[10..14].copy_from_slice(&(MAX_RUNS + 1).to_le_bytes());
+        assert!(SessionRequest::decode(&too_many_runs).is_none());
+        let mut max_u32_runs = good.clone();
+        max_u32_runs[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(SessionRequest::decode(&max_u32_runs).is_none());
     }
 }

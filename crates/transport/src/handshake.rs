@@ -28,9 +28,12 @@ use crate::error::TransportError;
 use crate::tcp::map_io;
 use std::io::{Read, Write};
 
-/// Wire version of the hello + channel framing this build speaks. Bump on
-/// any incompatible change to either.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Wire version of the hello, the channel framing and the protocol
+/// messages this build speaks. Bump on any incompatible change to any of
+/// them, so a mixed pair is refused at the hello instead of
+/// desynchronizing mid-query. 2: reduce-join products by correlated OT,
+/// and shared circuit outputs converted through their output labels.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Client-hello magic (`SYH1` = secure-yannakakis hello v1 framing).
 pub const HELLO_MAGIC: [u8; 4] = *b"SYH1";

@@ -9,7 +9,9 @@
 
 use secyan_client::{run_session, ClientConfig, ClientError};
 use secyan_core::ShapeKey;
-use secyan_server::{serve, QuerySpec, RunMode, ServerConfig, SessionOutcome, SessionRequest};
+use secyan_server::{
+    serve, QuerySpec, RunMode, ServerConfig, SessionOutcome, SessionRequest, MAX_RUNS,
+};
 use secyan_testkit::oracle;
 use secyan_transport::handshake::{
     read_server_hello, write_client_hello, ClientHello, HandshakeError, CODE_REJECT_MALFORMED,
@@ -247,6 +249,21 @@ fn bad_payload_and_shape_mismatch_are_rejected_typed() {
                 payload: req.encode(),
             },
             CODE_REJECT_SHAPE,
+        ),
+        (
+            // Valid shape, but more runs than a session may provision.
+            ClientHello {
+                version: PROTOCOL_VERSION,
+                ell: req.spec.instance().ell,
+                shape_key: expected_shape_key(&req.spec),
+                payload: SessionRequest {
+                    runs: MAX_RUNS + 1,
+                    mode: RunMode::Pooled,
+                    ..req
+                }
+                .encode(),
+            },
+            CODE_REJECT_MALFORMED,
         ),
     ] {
         let mut stream = TcpStream::connect(handle.addr()).expect("connect");
