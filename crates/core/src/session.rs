@@ -201,40 +201,76 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Garble `circuit` whose outputs are words of `bits` bits each,
-    /// leaving every word as shares over the session ring (§5.2) through
-    /// the offline plan (see [`Session::garble`]). Returns this side's
-    /// share of each word.
-    pub fn garble_words(&mut self, circuit: &Circuit, bits: usize, my_inputs: &[bool]) -> Vec<u64> {
-        let n = circuit.outputs.len() / bits;
-        let spec = SharedOutputSpec::words(n, bits, self.ring.bits() as usize);
-        let scalars = word_scalars(n, bits);
-        let kept = match self.take_garble(circuit) {
+    /// Garble `circuit`, converting the `spec` outputs into additive
+    /// shares with this side's `scalars` (one per conversion, §5.2) and
+    /// revealing the others to the evaluator, through the offline plan
+    /// (see [`Session::garble`]). Returns this side's share of each
+    /// conversion.
+    pub fn garble_shared(
+        &mut self,
+        circuit: &Circuit,
+        spec: &SharedOutputSpec,
+        scalars: &[u64],
+        my_inputs: &[bool],
+    ) -> Vec<u64> {
+        match self.take_garble(circuit) {
             Some(material) => garble_shared_online(
                 self.ch,
                 circuit,
                 material,
-                &spec,
-                &scalars,
+                spec,
+                scalars,
                 my_inputs,
                 &mut self.ot_send,
             ),
             None => garble_shared(
                 self.ch,
                 circuit,
-                &spec,
-                &scalars,
+                spec,
+                scalars,
                 my_inputs,
                 &mut self.ot_send,
                 self.hasher,
                 &mut self.rng,
             ),
-        };
+        }
+    }
+
+    /// Evaluator side of [`Session::garble_shared`] (see
+    /// [`Session::evaluate`] for the queue): this side's share of each
+    /// conversion, and the decoded outputs `spec` leaves revealed, in
+    /// output order.
+    pub fn evaluate_shared(
+        &mut self,
+        circuit: &Circuit,
+        spec: &SharedOutputSpec,
+        my_inputs: &[bool],
+    ) -> (Vec<u64>, Vec<bool>) {
+        let material = self.take_eval(circuit);
+        let pending = evaluate_begin(self.ch, circuit, material, my_inputs, &mut self.ot_recv);
+        evaluate_shared_finish(
+            self.ch,
+            circuit,
+            pending,
+            spec,
+            my_inputs,
+            &mut self.ot_recv,
+            self.hasher,
+        )
+    }
+
+    /// Garble `circuit` whose outputs are words of `bits` bits each,
+    /// leaving every word as shares over the session ring
+    /// ([`Session::garble_shared`]). Returns this side's share of each
+    /// word.
+    pub fn garble_words(&mut self, circuit: &Circuit, bits: usize, my_inputs: &[bool]) -> Vec<u64> {
+        let n = circuit.outputs.len() / bits;
+        let spec = SharedOutputSpec::words(n, bits, self.ring.bits() as usize);
+        let kept = self.garble_shared(circuit, &spec, &word_scalars(n, bits), my_inputs);
         fold_words(&kept, bits, spec.ell)
     }
 
-    /// Evaluator side of [`Session::garble_words`] (see
-    /// [`Session::evaluate`] for the queue).
+    /// Evaluator side of [`Session::garble_words`].
     pub fn evaluate_words(
         &mut self,
         circuit: &Circuit,
@@ -243,17 +279,7 @@ impl<'a> Session<'a> {
     ) -> Vec<u64> {
         let n = circuit.outputs.len() / bits;
         let spec = SharedOutputSpec::words(n, bits, self.ring.bits() as usize);
-        let material = self.take_eval(circuit);
-        let pending = evaluate_begin(self.ch, circuit, material, my_inputs, &mut self.ot_recv);
-        let (shares, _) = evaluate_shared_finish(
-            self.ch,
-            circuit,
-            pending,
-            &spec,
-            my_inputs,
-            &mut self.ot_recv,
-            self.hasher,
-        );
+        let (shares, _) = self.evaluate_shared(circuit, &spec, my_inputs);
         fold_words(&shares, bits, spec.ell)
     }
 }

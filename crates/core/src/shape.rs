@@ -22,7 +22,7 @@
 //! ([`secyan_gc::circuit_digest`]) as a safety net.
 
 use crate::agg::{merge_circuit, AggKind, AggRoute};
-use crate::join::reveal_circuit;
+use crate::join::{reveal_circuit, sends_tuples};
 use crate::query::SecureQuery;
 use crate::semijoin::{product_ots, shared_attrs, JoinRoute};
 use secyan_circuit::Circuit;
@@ -114,7 +114,7 @@ impl QueryShape {
                 garbler: pg.garbler,
             })
             .collect();
-        let ot_budget = ot_budget(sizes, &planned, plan.correlated_ots());
+        let ot_budget = ot_budget(sizes, &planned, plan.ots());
         QueryShape {
             key,
             planned,
@@ -144,14 +144,10 @@ pub enum GcSpec {
     /// Circuit-PSI k-index selection over `bins` for a sender set of size
     /// `n`, shared payloads (§5.5).
     KIndex { bins: usize, n: usize },
-    /// Reveal of `n` rows to the receiver: the values of a lone survivor
-    /// (`values`), else one relation's nonzero support for the full join.
-    Reveal {
-        n: usize,
-        attrs: usize,
-        owner_is_garbler: bool,
-        values: bool,
-    },
+    /// Reveal of one relation's nonzero support (`n` rows) to the
+    /// receiver for the full join (§6.3); `converted` when its tuple words
+    /// convert out of the circuit ([`sends_tuples`]).
+    Reveal { n: usize, converted: bool },
 }
 
 impl GcSpec {
@@ -161,12 +157,7 @@ impl GcSpec {
             GcSpec::Merge { n, kind } => merge_circuit(n, ell, kind),
             GcSpec::Matching { bins } => matching_circuit(bins),
             GcSpec::KIndex { bins, n } => k_circuit(bins, n),
-            GcSpec::Reveal {
-                n,
-                attrs,
-                owner_is_garbler,
-                values,
-            } => reveal_circuit(n, ell, attrs, owner_is_garbler, values),
+            GcSpec::Reveal { n, converted } => reveal_circuit(n, ell, converted),
         }
     }
 }
@@ -191,8 +182,9 @@ pub enum Op {
     ReduceJoin { f: usize, g: usize },
     /// `f ← f ⋉⊗ g` (§6.2).
     Semijoin { f: usize, g: usize },
-    /// Reveal the surviving nodes: a lone survivor directly, several
-    /// through the full join (§6.3) in this fold order.
+    /// Reveal the surviving nodes: a lone survivor by opening its shares,
+    /// with no circuit, several through the full join (§6.3) in this fold
+    /// order.
     Finish { order: Vec<usize> },
 }
 
@@ -204,11 +196,13 @@ pub struct Step {
     /// full join's product tree is not listed: its size is the
     /// data-dependent join output size.
     pub circuits: Vec<PlannedGc>,
-    /// Correlated OTs the step draws: its reduce-join product's, the `R_F`
-    /// owner sending (n·ℓ per cross term), plus a matching circuit-PSI's
-    /// payload cross term, the PSI sender sending (ℓ per bin); 0 for the
-    /// other operators.
-    pub correlated_ots: usize,
+    /// OTs the step draws besides its circuits' evaluator labels: a
+    /// reduce-join product's correlated OTs, the `R_F` owner sending (n·ℓ
+    /// per cross term), plus a matching circuit-PSI's payload cross term,
+    /// the PSI sender sending (ℓ per bin); a lone survivor's tuple OTs, the
+    /// non-receiver sending (one per row, when it owns a nonempty schema);
+    /// 0 for the other operators.
+    pub ots: usize,
 }
 
 /// The compiled secure Yannakakis plan: the ordered operator steps, a
@@ -288,22 +282,27 @@ impl Plan {
             }
         }
 
-        let circuits = order
-            .iter()
-            .map(|&i| PlannedGc {
-                gc: GcSpec::Reveal {
-                    n: nodes[i].dims.size,
-                    attrs: nodes[i].schema.len(),
-                    owner_is_garbler: nodes[i].dims.owner != receiver,
-                    values: order.len() == 1,
-                },
-                garbler: receiver.peer(),
-            })
-            .collect();
+        // A lone survivor opens its shares, with one tuple OT per row when
+        // the non-receiver owns them; several reveal their supports.
+        let sends = |i: usize| sends_tuples(nodes[i].dims.owner, receiver, nodes[i].schema.len());
+        let (circuits, ots) = match order[..] {
+            [lone] if sends(lone) => (Vec::new(), nodes[lone].dims.size),
+            [_] => (Vec::new(), 0),
+            _ => {
+                let reveal = |i: usize| PlannedGc {
+                    gc: GcSpec::Reveal {
+                        n: nodes[i].dims.size,
+                        converted: sends(i),
+                    },
+                    garbler: receiver.peer(),
+                };
+                (order.iter().map(|&i| reveal(i)).collect(), 0)
+            }
+        };
         steps.push(Step {
             op: Op::Finish { order },
             circuits,
-            correlated_ots: 0,
+            ots,
         });
         Plan { ell, steps }
     }
@@ -313,10 +312,10 @@ impl Plan {
         self.steps.iter().flat_map(|s| &s.circuits)
     }
 
-    /// Correlated OTs the plan's reduce-join products and matching
-    /// circuit-PSIs draw.
-    pub fn correlated_ots(&self) -> usize {
-        self.steps.iter().map(|s| s.correlated_ots).sum()
+    /// OTs the plan's steps draw besides their circuits' evaluator labels
+    /// ([`Step::ots`]).
+    pub fn ots(&self) -> usize {
+        self.steps.iter().map(|s| s.ots).sum()
     }
 
     /// KKRT OPRF instances the plan draws per direction: each circuit-PSI
@@ -365,7 +364,7 @@ impl Node {
         Step {
             op: Op::ProjectAgg { node, attrs, kind },
             circuits,
-            correlated_ots: 0,
+            ots: 0,
         }
     }
 
@@ -381,7 +380,7 @@ impl Node {
         let mut step = Step {
             op,
             circuits: Vec::new(),
-            correlated_ots: 0,
+            ots: 0,
         };
         if semijoin {
             let attrs = shared_attrs(&rf.schema, &rg.schema);
@@ -394,9 +393,9 @@ impl Node {
                 garbler: rg.dims.owner,
             });
         }
-        step.correlated_ots = product_ots(rf.dims.size, ell, route.v_plain);
+        step.ots = product_ots(rf.dims.size, ell, route.v_plain);
         if let Some(GcSpec::Matching { bins }) = route.psi {
-            step.correlated_ots += matching_ots(bins, ell);
+            step.ots += matching_ots(bins, ell);
         }
         nodes[f].dims.is_plain = false;
         step
@@ -404,14 +403,13 @@ impl Node {
 }
 
 /// The per-direction OT bank budget: evaluator input labels for every
-/// planned circuit, the correlated OTs of the reduce-join products and
-/// matching circuit-PSIs, plus a
+/// planned circuit, the steps' other OTs ([`Plan::ots`]), plus a
 /// generous allowance for the OEP switching networks and PSI machinery
 /// (≈ 2·w·⌈log₂ w⌉ + w OTs per oblivious switching network of width w,
 /// several networks per relation per phase). Over-provisioning only costs
 /// offline time; under-provisioning degrades to inline OT extension,
 /// symmetrically on both sides.
-fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit], correlated: usize) -> usize {
+fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit], ots: usize) -> usize {
     let labels: usize = planned.iter().map(|pc| pc.circuit.bob_inputs).sum();
     let switches: usize = sizes
         .iter()
@@ -424,7 +422,7 @@ fn ot_budget(sizes: &[usize], planned: &[PlannedCircuit], correlated: usize) -> 
             8 * (2 * w * lg + w)
         })
         .sum();
-    labels + correlated + switches + 1024
+    labels + ots + switches + 1024
 }
 
 #[cfg(test)]
@@ -466,12 +464,23 @@ mod tests {
 
     #[test]
     fn chain_plan_ends_with_a_reveal_and_has_budget() {
-        let shape = QueryShape::derive(&chain_query(), &[3, 4, 3], Role::Alice, 32);
-        // The paper's chain collapses to a single survivor: the schedule
-        // must be non-empty and end with the reveal garbled by Bob (the
-        // non-receiver).
+        // The paper's chain collapses to a single survivor, R3(class),
+        // owned by the receiver Alice: the plan ends with a Finish that
+        // opens its shares and garbles nothing, and no OT, while the
+        // earlier steps still plan circuits and a budget.
+        let q = chain_query();
+        let plan = Plan::compile(&q, &[3, 4, 3], Role::Alice, 32);
+        let finish = plan.steps.last().expect("a plan has steps");
+        assert_eq!(finish.op, Op::Finish { order: vec![2] });
+        assert!(finish.circuits.is_empty());
+        assert_eq!(finish.ots, 0);
+        // Revealed to Bob instead, the tuples travel by one OT per row.
+        let plan = Plan::compile(&q, &[3, 4, 3], Role::Bob, 32);
+        let finish = plan.steps.last().expect("a plan has steps");
+        assert!(finish.circuits.is_empty());
+        assert_eq!(finish.ots, 3);
+        let shape = QueryShape::derive(&q, &[3, 4, 3], Role::Alice, 32);
         assert!(!shape.planned.is_empty());
-        assert_eq!(shape.planned.last().unwrap().garbler, Role::Bob);
         assert!(shape.ot_budget > 0);
     }
 
@@ -480,7 +489,9 @@ mod tests {
     /// circuit-PSI takes 64 evaluator labels per bin (the equality test's
     /// o_b; it was 128 with p_b) plus ℓ correlated OTs per bin for the
     /// payload cross term; a k-index PSI takes 64 + t labels per bin, t =
-    /// ⌈log₂(n + bins)⌉ (it was 128).
+    /// ⌈log₂(n + bins)⌉ (it was 128). A lone survivor's reveal takes no
+    /// labels (its circuit took n·ℓ) and one tuple OT per row when the
+    /// non-receiver owns a nonempty schema.
     #[test]
     fn ot_budget_is_pinned() {
         let chain3 = SecureQuery::new(
@@ -493,7 +504,9 @@ mod tests {
         // 44,176 before the label conversion: at ℓ = 64 a matching PSI's
         // 64 labels + 64 OTs per bin equal its old 128 labels, and the one
         // k-index PSI (31 bins, n = 48, t = 7) drops (128 − 71)·31 = 1,767.
-        assert_eq!(shape.ot_budget, 42_409);
+        // 42,409 before the circuit-free reveal: the lone survivor (24
+        // rows, empty schema) drops 24·64 = 1,536 labels and adds no OT.
+        assert_eq!(shape.ot_budget, 40_873);
         // TPC-H Q3 at 0.3 MB: customer ⋈ orders ⋈ lineitem.
         let q3 = SecureQuery::new(
             vec![
@@ -507,8 +520,31 @@ mod tests {
         );
         let shape = QueryShape::derive(&q3, &[45, 450, 1752], Role::Alice, 32);
         // 1,083,232 before: two matching PSIs over 572 bins at ℓ = 32 drop
-        // (128 − 64 − 32)·572·2 = 36,608.
-        assert_eq!(shape.ot_budget, 1_046_624);
+        // (128 − 64 − 32)·572·2 = 36,608. 1,046,624 before the
+        // circuit-free reveal: the lone survivor, orders (450 rows, three
+        // attributes, owned by the non-receiver Bob), drops 450·32 =
+        // 14,400 labels and adds 450 tuple OTs.
+        assert_eq!(shape.ot_budget, 1_032_674);
+    }
+
+    /// The support reveal garbles only the ℓ-bit zero test: ℓ−1 ANDs, ℓ
+    /// garbler and ℓ evaluator inputs per row, whatever the tuples. A
+    /// garbler-owned tuple converts out of a second copy of the support
+    /// bit rather than entering the circuit.
+    #[test]
+    fn reveal_circuit_is_the_zero_test() {
+        for n in [1usize, 24, 450] {
+            for ell in [1usize, 32, 64] {
+                for (converted, outputs) in [(false, n), (true, 2 * n)] {
+                    let spec = GcSpec::Reveal { n, converted };
+                    let c = spec.build(ell);
+                    assert_eq!(c.and_count(), ((ell - 1) * n) as u64, "{spec:?} ℓ={ell}");
+                    assert_eq!(c.alice_inputs, ell * n);
+                    assert_eq!(c.bob_inputs, ell * n);
+                    assert_eq!(c.outputs.len(), outputs);
+                }
+            }
+        }
     }
 
     /// The matching circuit garbles only its per-bin 64-bit equality test:

@@ -307,17 +307,23 @@ impl OtSender {
 
     /// Chosen-message OT on equal-length byte strings.
     ///
-    /// An empty batch is communication-free on both sides: the receiver's
-    /// [`OtReceiver::recv_bytes`] consumes no frames for zero choices, so
-    /// sending even an empty frame here would desynchronize the wire.
+    /// A batch with no bytes to carry — no pairs, or only empty messages —
+    /// is communication-free on both sides and draws no pads: the
+    /// receiver's [`OtReceiver::recv_bytes`] consumes nothing for zero
+    /// choices or a zero length, so sending even an empty frame here would
+    /// desynchronize the wire.
     pub fn send_bytes(&mut self, ch: &mut Channel, pairs: &[(Vec<u8>, Vec<u8>)]) {
-        if pairs.is_empty() {
+        let mut bytes = 0;
+        for (m0, m1) in pairs {
+            assert_eq!(m0.len(), m1.len(), "OT messages must have equal length");
+            bytes += m0.len();
+        }
+        if bytes == 0 {
             return;
         }
         let pads = self.draw_pads(ch, pairs.len());
         let mut buf = Vec::new();
         for ((m0, m1), &(x0, x1)) in pairs.iter().zip(&pads) {
-            assert_eq!(m0.len(), m1.len(), "OT messages must have equal length");
             buf.extend_from_slice(&mask_bytes(m0, x0));
             buf.extend_from_slice(&mask_bytes(m1, x1));
         }
@@ -605,7 +611,12 @@ impl OtReceiver {
     /// Receive chosen byte-string messages of known length `len`. Both
     /// candidate strings are unmasked and the result selected bytewise, so
     /// neither control flow nor access pattern depends on the choice bits.
+    /// A zero `len` is communication-free and draws no pads, as on the
+    /// sender side ([`OtSender::send_bytes`]).
     pub fn recv_bytes(&mut self, ch: &mut Channel, choices: &[bool], len: usize) -> Vec<Vec<u8>> {
+        if len == 0 {
+            return vec![Vec::new(); choices.len()];
+        }
         let pads = self.begin_recv(ch, choices);
         self.finish_recv_bytes(ch, &pads, choices, len)
     }
@@ -697,27 +708,46 @@ mod tests {
     fn empty_batch_is_communication_free() {
         // A zero-message batch (e.g. an OSN over a width-1 network has no
         // switches) must put nothing on the wire in either direction: an
-        // orphan frame here desynchronizes every later message. The marker
-        // exchange after the empty batches proves the streams still align.
+        // orphan frame here desynchronizes every later message. So must a
+        // batch of empty byte strings (a reveal of tuples with no
+        // attributes), and neither may draw a pad: with 3 banked OTs, the
+        // 2-message batch would take banked pads and the 5-message batch
+        // would extend inline. The marker exchange after the empty batches
+        // proves the streams still align.
         let (a, b, stats) = run_protocol(
             |ch| {
                 let mut s =
                     OtSender::setup(ch, &mut StdRng::seed_from_u64(40), TweakHasher::Sha256);
+                let bank = s.offline(ch, 3);
+                s.attach_bank(bank);
                 let before = ch.stats().total_bytes();
                 s.send_bytes(ch, &[]);
                 s.send_blocks(ch, &[]);
                 assert!(s.send_correlated(ch, &[], 32).is_empty());
+                for m in [2, 5] {
+                    s.send_bytes(ch, &vec![(Vec::new(), Vec::new()); m]);
+                }
                 assert_eq!(ch.stats().total_bytes(), before, "empty batch sent bytes");
+                assert_eq!(s.bank_remaining(), 3, "empty batch drew pads");
                 ch.send_u64(0xA11C);
                 ch.recv_u64()
             },
             |ch| {
                 let mut r =
                     OtReceiver::setup(ch, &mut StdRng::seed_from_u64(41), TweakHasher::Sha256);
+                let bank = r.offline(ch, 3, &mut StdRng::seed_from_u64(42));
+                r.attach_bank(bank);
+                let before = ch.stats().total_bytes();
                 assert!(r.recv_bytes(ch, &[], 16).is_empty());
                 assert!(r.recv_blocks(ch, &[]).is_empty());
                 let pads = r.begin_recv(ch, &[]);
                 assert!(r.finish_recv_correlated(ch, &pads, &[], 32).is_empty());
+                for m in [2, 5] {
+                    let got = r.recv_bytes(ch, &vec![true; m], 0);
+                    assert_eq!(got, vec![Vec::<u8>::new(); m]);
+                }
+                assert_eq!(ch.stats().total_bytes(), before, "empty batch sent bytes");
+                assert_eq!(r.bank_remaining(), 3, "empty batch drew pads");
                 ch.send_u64(0xB0B);
                 ch.recv_u64()
             },

@@ -32,8 +32,10 @@ use std::io::{Read, Write};
 /// messages this build speaks. Bump on any incompatible change to any of
 /// them, so a mixed pair is refused at the hello instead of
 /// desynchronizing mid-query. 2: reduce-join products by correlated OT,
-/// and shared circuit outputs converted through their output labels.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// and shared circuit outputs converted through their output labels. 3: a
+/// lone survivor's reveal opens shares and sends tuples by OT, and the
+/// support reveal converts tuple words out of its circuit.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Client-hello magic (`SYH1` = secure-yannakakis hello v1 framing).
 pub const HELLO_MAGIC: [u8; 4] = *b"SYH1";

@@ -68,7 +68,7 @@ fn family_super_round_goldens() {
         .iter()
         .map(|(_, inst)| run_secure(inst).stats.super_rounds)
         .collect();
-    let golden: Vec<u64> = vec![9, 19, 25, 25];
+    let golden: Vec<u64> = vec![9, 19, 23, 25];
     assert_eq!(
         actual,
         golden,
@@ -214,7 +214,7 @@ fn family_super_round_goldens_hold_over_tcp() {
         .iter()
         .map(|(_, inst)| run_secure_tcp(inst).stats.super_rounds)
         .collect();
-    let golden: Vec<u64> = vec![9, 19, 25, 25];
+    let golden: Vec<u64> = vec![9, 19, 23, 25];
     assert_eq!(
         actual,
         golden,
